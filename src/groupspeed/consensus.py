@@ -79,8 +79,12 @@ def step(state, P, g_list, config):
     P = np.asarray(P, dtype=float)
     if P.shape != (len(s), len(s)):
         raise DimensionMismatch(f"matrix shape {P.shape} vs state length {len(s)}")
-    G = agg.coupling(s, config.mu)
-    new = agg.clamp(P @ s + G)
+    return _advance(state, P, agg, agg.coupling(s, config.mu))
+
+
+def _advance(state, P, agg, G):
+    """The update itself, given the coupling G already computed for state."""
+    new = agg.clamp(P @ np.asarray(state.speeds, dtype=float) + G)
     return ConsensusState(speeds=new, iteration=state.iteration + 1)
 
 
@@ -171,7 +175,7 @@ def run(initial_speeds, topology, g_list, config):
             raise NonConvergence("spread blew up beyond the divergence guard", trace)
 
         topology.record_speeds(k, state.speeds)
-        state = step(state, topology.build_matrix(k), agg, config)
+        state = _advance(state, topology.build_matrix(k), agg, G)
 
     raise NonConvergence(
         f"no convergence within {config.max_iterations} iterations", trace

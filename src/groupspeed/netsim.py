@@ -1,18 +1,18 @@
 """Time-varying communication topologies and their row-stochastic matrices.
 
-Neighbor sets are generated per iteration k; `build_matrix` turns them into
-the equal-weight row-stochastic averaging matrix with entries 1/(deg_i + 1)
-for each in-neighbor and the matching strictly positive diagonal.
+Each model gives the links of iteration k as index arrays (src, dst), dst
+hearing src. The neighbor sets, the equal-weight averaging matrix (1/(deg_i + 1)
+per in-neighbor, strictly positive diagonal) and the ergodicity check read them.
 """
 
+import bisect
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInput, InvalidSpec
-
-ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,7 @@ class ErgodicityReport:
 
 
 class TopologySequence:
-    """Base class: deterministic neighbor sets N_k^i given (model, seed).
-
-    neighbors(k, i) is the set of agents whose speed agent i receives at
-    iteration k; no self-loops.
-    """
+    """Base class: deterministic links per iteration k given (model, seed)."""
 
     def __init__(self, n_agents, seed=0):
         if n_agents < 1:
@@ -42,12 +38,33 @@ class TopologySequence:
         self.n_agents = int(n_agents)
         self.seed = int(seed)
 
+    def edges(self, k):
+        """The links of iteration k as index arrays (src, dst): dst hears src.
+
+        No self-loops and no repeated links. Constant graphs set `_edges` once;
+        the other models override this.
+        """
+        return self._edges
+
     def neighbors(self, k, i):
-        raise NotImplementedError
+        """The set of agents whose speed agent i receives at iteration k."""
+        self._check_agent(i)
+        src, dst = self.edges(k)
+        return {int(j) for j in src[dst == i]}
 
     def _check_agent(self, i):
         if not 0 <= i < self.n_agents:
             raise IndexError(f"agent index {i} out of range [0, {self.n_agents})")
+
+    def _pairs(self, edges):
+        """Validated (m, 2) index array of an edge list."""
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        outside = np.any((pairs < 0) | (pairs >= self.n_agents), axis=1)
+        bad = outside | (pairs[:, 0] == pairs[:, 1])
+        if np.any(bad):
+            a, b = pairs[np.argmax(bad)]
+            raise DegenerateInput(f"edge ({a}, {b}) is a self-loop or out of range")
+        return pairs
 
     def record_speeds(self, k, speeds):
         """Hook for models whose graph depends on agent motion; default no-op."""
@@ -55,35 +72,32 @@ class TopologySequence:
     def build_matrix(self, k):
         """Row-stochastic P(k): eta = 1/(|N_k^i|+1) per row, diagonal 1 - deg*eta."""
         n = self.n_agents
+        src, dst = self.edges(k)
+        deg = np.bincount(dst, minlength=n)
+        eta = 1.0 / (deg + 1)
         P = np.zeros((n, n))
-        for i in range(n):
-            nbrs = self.neighbors(k, i)
-            eta = 1.0 / (len(nbrs) + 1)
-            for j in nbrs:
-                P[i, j] = eta
-            P[i, i] = 1.0 - len(nbrs) * eta
+        P[dst, src] = eta[dst]
+        np.fill_diagonal(P, 1.0 - deg * eta)
         return P
 
     def check_ergodicity_window(self, k_start, window):
         """Strong connectivity of the directed union graph over the window."""
         if window < 1:
             raise DegenerateInput(f"window must be >= 1, got {window}")
-        G = nx.DiGraph()
-        G.add_nodes_from(range(self.n_agents))
-        for k in range(k_start, k_start + window):
-            for i in range(self.n_agents):
-                for j in self.neighbors(k, i):
-                    G.add_edge(j, i)  # i hears j: information flows j -> i
-        connected = self.n_agents == 1 or nx.is_strongly_connected(G)
-        return ErgodicityReport(connected=connected, k_start=k_start, window=window)
+        links = [self.edges(k) for k in range(k_start, k_start + window)]
+        src, dst = map(np.concatenate, zip(*links))
+        n = self.n_agents
+        union = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+        n_strong, _ = connected_components(union, directed=True, connection="strong")
+        return ErgodicityReport(connected=n_strong == 1, k_start=k_start, window=window)
 
 
 class CompleteTopology(TopologySequence):
     """Everyone hears everyone, at every k."""
 
-    def neighbors(self, k, i):
-        self._check_agent(i)
-        return set(range(self.n_agents)) - {i}
+    def __init__(self, n_agents, seed=0):
+        super().__init__(n_agents, seed)
+        self._edges = np.nonzero(~np.eye(self.n_agents, dtype=bool))[::-1]
 
 
 class FixedTopology(TopologySequence):
@@ -95,29 +109,19 @@ class FixedTopology(TopologySequence):
 
     def __init__(self, n_agents, edges, directed=False, seed=0):
         super().__init__(n_agents, seed)
-        self._in = [set() for _ in range(self.n_agents)]
-        for a, b in edges:
-            if a == b:
-                raise DegenerateInput(f"self-loop ({a}, {b}) not allowed")
-            if not (0 <= a < n_agents and 0 <= b < n_agents):
-                raise DegenerateInput(f"edge ({a}, {b}) out of range")
-            self._in[b].add(a)
-            if not directed:
-                self._in[a].add(b)
-
-    def neighbors(self, k, i):
-        self._check_agent(i)
-        return set(self._in[i])
+        pairs = self._pairs(edges)
+        if not directed:
+            pairs = np.concatenate([pairs, pairs[:, ::-1]])
+        self._edges = tuple(np.unique(pairs, axis=0).T)
 
 
 class LeaderStarTopology(TopologySequence):
     """Leader (agent 0) hears all; every other agent hears only the leader."""
 
-    def neighbors(self, k, i):
-        self._check_agent(i)
-        if i == 0:
-            return set(range(1, self.n_agents))
-        return {0}
+    def edges(self, k):
+        leaves = np.arange(1, self.n_agents)
+        leader = np.zeros_like(leaves)
+        return np.concatenate([leaves, leader]), np.concatenate([leader, leaves])
 
 
 class RandomFailureTopology(TopologySequence):
@@ -126,6 +130,7 @@ class RandomFailureTopology(TopologySequence):
     Each undirected base edge is up at iteration k with probability
     `link_up_probability`, drawn from a stream derived from (seed, k) so
     replays are bit-identical and queries at distinct k are independent.
+    The last k's links are kept, so per-agent queries share one draw.
     """
 
     def __init__(self, n_agents, link_up_probability, base=None, seed=0):
@@ -136,41 +141,19 @@ class RandomFailureTopology(TopologySequence):
             )
         self.p = float(link_up_probability)
         if base is None:
-            base = [
-                (i, j) for i in range(n_agents) for j in range(i + 1, n_agents)
-            ]
-        self.base_edges = sorted(tuple(sorted(e)) for e in base)
+            base = np.column_stack(np.triu_indices(self.n_agents, 1))
+        low, high = np.sort(self._pairs(base), axis=1).T
+        # one draw per base edge, repeats included, in sorted (low, high) order
+        self._draws = np.sort(low * self.n_agents + high)
+        self._last = (None, None)
 
-    def _alive_edges(self, k):
-        rng = np.random.default_rng([self.seed, int(k)])
-        draws = rng.random(len(self.base_edges))
-        return [e for e, u in zip(self.base_edges, draws) if u < self.p]
-
-    def neighbors(self, k, i):
-        self._check_agent(i)
-        out = set()
-        for a, b in self._alive_edges(k):
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
-
-    def build_matrix(self, k):
-        # one failure draw per k shared by all rows
-        n = self.n_agents
-        alive = self._alive_edges(k)
-        nbrs = [set() for _ in range(n)]
-        for a, b in alive:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        P = np.zeros((n, n))
-        for i in range(n):
-            eta = 1.0 / (len(nbrs[i]) + 1)
-            for j in nbrs[i]:
-                P[i, j] = eta
-            P[i, i] = 1.0 - len(nbrs[i]) * eta
-        return P
+    def edges(self, k):
+        if self._last[0] != k:
+            rng = np.random.default_rng([self.seed, int(k)])
+            up = self._draws[rng.random(len(self._draws)) < self.p]
+            a, b = np.divmod(up[np.diff(up, prepend=-1) != 0], self.n_agents)
+            self._last = (k, (np.concatenate([a, b]), np.concatenate([b, a])))
+        return self._last[1]
 
 
 class ProximityTopology(TopologySequence):
@@ -190,23 +173,29 @@ class ProximityTopology(TopologySequence):
         self.radius = float(radius)
         self.dt_hours = float(dt_hours)
         self._positions = {0: rng.uniform(0.0, route_span, n_agents)}
+        self._recorded = [0]  # sorted keys of _positions
 
     def record_speeds(self, k, speeds):
         speeds = np.asarray(speeds, dtype=float)
         if len(speeds) != self.n_agents:
             raise DegenerateInput("speed vector length mismatch")
         pos = self._positions_at(k)
+        if k + 1 not in self._positions:
+            bisect.insort(self._recorded, k + 1)
         self._positions[k + 1] = pos + speeds * self.dt_hours
 
     def _positions_at(self, k):
-        kk = max(key for key in self._positions if key <= k)
-        return self._positions[kk]
+        """Positions of the latest recorded iteration k' <= k."""
+        if k < 0:
+            raise IndexError(f"iteration {k} precedes the initial positions")
+        keys = self._recorded
+        return self._positions[keys[bisect.bisect_right(keys, k) - 1]]
 
-    def neighbors(self, k, i):
-        self._check_agent(i)
+    def edges(self, k):
         pos = self._positions_at(k)
-        close = np.abs(pos - pos[i]) <= self.radius
-        return {int(j) for j in np.nonzero(close)[0] if j != i}
+        close = np.abs(pos[:, None] - pos[None, :]) <= self.radius
+        np.fill_diagonal(close, False)
+        return np.nonzero(close)[::-1]  # row i lists the agents i hears
 
 
 def make_topology(spec, n_agents, seed=0):

@@ -26,6 +26,63 @@ def _random_topology(rng):
     return FixedTopology(n, edges, seed=seed)
 
 
+def _any_topology(rng):
+    """A seeded topology of any of the five models, some with recorded motion."""
+    n = int(rng.integers(1, 13))
+    seed = int(rng.integers(0, 2**32))
+    kind = rng.integers(0, 6)
+    if kind == 0:
+        return CompleteTopology(n, seed=seed)
+    if kind == 1:
+        return LeaderStarTopology(n, seed=seed)
+    if kind == 2:
+        return RandomFailureTopology(n, float(rng.uniform(0, 1)), seed=seed)
+    if kind == 3:
+        top = ProximityTopology(n, radius=float(rng.uniform(0.01, 0.2)), seed=seed)
+        for k in sorted(rng.choice(8, size=3, replace=False)):
+            top.record_speeds(int(k), rng.uniform(-30, 30, n))
+        return top
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(2 * n, 2)) if a != b]
+    if kind == 4:
+        return RandomFailureTopology(n, float(rng.uniform(0, 1)), base=pairs, seed=seed)
+    return FixedTopology(n, pairs, directed=bool(rng.integers(0, 2)), seed=seed)
+
+
+def _reference_matrix(top, k):
+    """P(k) as a per-row loop over the neighbor sets."""
+    n = top.n_agents
+    P = np.zeros((n, n))
+    for i in range(n):
+        nbrs = top.neighbors(k, i)
+        eta = 1.0 / (len(nbrs) + 1)
+        for j in nbrs:
+            P[i, j] = eta
+        P[i, i] = 1.0 - len(nbrs) * eta
+    return P
+
+
+def _reference_strongly_connected(top, k_start, window):
+    """Forward and backward breadth-first search from agent 0 over the union graph."""
+    n = top.n_agents
+    hears = [set() for _ in range(n)]
+    for k in range(k_start, k_start + window):
+        for i in range(n):
+            hears[i] |= top.neighbors(k, i)
+    heard_by = [set() for _ in range(n)]
+    for i, srcs in enumerate(hears):
+        for j in srcs:
+            heard_by[j].add(i)
+
+    def reaches_all(adjacent):
+        seen, frontier = {0}, [0]
+        while frontier:
+            frontier = [j for i in frontier for j in adjacent[i] if j not in seen]
+            seen.update(frontier)
+        return len(seen) == n
+
+    return reaches_all(hears) and reaches_all(heard_by)
+
+
 class TestNeighbors:
     def test_complete(self):
         top = CompleteTopology(4)
@@ -67,6 +124,13 @@ class TestNeighbors:
         with pytest.raises(IndexError):
             top.neighbors(0, -1)
 
+    def test_rejects_self_loops_and_out_of_range_edges(self):
+        for edges in ([(1, 1)], [(0, 3)], [(-1, 0)]):
+            with pytest.raises(DegenerateInput):
+                FixedTopology(3, edges)
+            with pytest.raises(DegenerateInput):
+                RandomFailureTopology(3, 0.5, base=edges)
+
     def test_determinism(self):
         a = RandomFailureTopology(8, 0.37, seed=123)
         b = RandomFailureTopology(8, 0.37, seed=123)
@@ -100,6 +164,16 @@ class TestBuildMatrix:
                 np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
                 assert np.all(np.diag(P) > 0)
 
+    def test_equals_per_row_reference_for_every_model(self):
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(200):
+            top = _any_topology(rng)
+            kinds.add(type(top))
+            for k in (0, 1, 3, 9, 250):
+                np.testing.assert_array_equal(top.build_matrix(k), _reference_matrix(top, k))
+        assert len(kinds) == 5
+
     def test_consensus_preservation(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -129,6 +203,26 @@ class TestErgodicityWindow:
                 hits += 1
         assert hits >= 990
 
+    def test_agrees_with_breadth_first_search(self):
+        rng = np.random.default_rng(12)
+        verdicts = set()
+        for _ in range(200):
+            top = _any_topology(rng)
+            k_start, window = int(rng.integers(0, 10)), int(rng.integers(1, 6))
+            expected = _reference_strongly_connected(top, k_start, window)
+            assert top.check_ergodicity_window(k_start, window).connected == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_directed_chain_is_not_strongly_connected(self):
+        chain = [(0, 1), (1, 2), (2, 3)]
+        for window in (1, 5):
+            top = FixedTopology(4, chain, directed=True)
+            assert not top.check_ergodicity_window(0, window).connected
+            assert FixedTopology(4, chain).check_ergodicity_window(0, window).connected
+            cycle = FixedTopology(4, chain + [(3, 0)], directed=True)
+            assert cycle.check_ergodicity_window(0, window).connected
+
     def test_bad_window(self):
         with pytest.raises(DegenerateInput):
             CompleteTopology(3).check_ergodicity_window(0, 0)
@@ -148,6 +242,17 @@ class TestProximity:
         for k in range(40):
             top.record_speeds(k, [0.0, 20.0])
         assert top.neighbors(40, 0) == set()
+
+    def test_sparse_records_use_latest_iteration_at_or_before_k(self):
+        top = ProximityTopology(2, radius=0.01, route_span=0.0, dt_hours=0.01, seed=0)
+        top.record_speeds(0, [0.0, 2.0])  # k >= 1: 0.02 km apart
+        top.record_speeds(9, [2.0, 0.0])  # k >= 10: together again
+        top.record_speeds(4, [0.0, -2.0])  # k in 5..9: together, recorded late
+        linked = {k: top.neighbors(k, 0) == {1} for k in range(13)}
+        assert linked == {k: k == 0 or k >= 5 for k in range(13)}
+        assert top.neighbors(10_000, 1) == {0}
+        with pytest.raises(IndexError):
+            top.neighbors(-1, 0)
 
     def test_bad_radius(self):
         with pytest.raises(DegenerateInput):

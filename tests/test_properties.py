@@ -36,7 +36,14 @@ def test_quasi_convex_triple_inequality(d, data):
     frac = data.draw(st.floats(min_value=0.01, max_value=0.99))
     x = u + frac * (v - u)
     assume(u < x < v)
-    assert g.value(x) < max(g.value(u), g.value(v))
+    # At float resolution: with the points a few ulps apart, rounding can tie
+    # g(x) with the larger end value (as at d=20) or lift it one ulp above.
+    # Once the points are 1e-6 of the domain apart, the true gap (about
+    # g'' * sep**2 / 2, above 1e-11 for these curves) dwarfs rounding.
+    gx, top = g.value(x), max(g.value(u), g.value(v))
+    assert gx <= top + 8 * np.spacing(top)
+    if min(x - u, v - x) > 1e-6 * (hi - lo):
+        assert gx < top
 
 
 @given(
