@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
+from .riskmodel import RiskBank, SpeedRisk
 
 FORM_AGREEMENT_TOL = 1e-12
 SPREAD_BLOWUP_FACTOR = 1e3
@@ -39,22 +40,29 @@ class ConsensusState:
 class Aggregator:
     """Central-agent role: sees every g_i and broadcasts scalar summaries.
 
-    Keeps the risk functions out of the per-agent update path.
+    Keeps the risk functions out of the per-agent update path. A list of
+    SpeedRisk is evaluated as one RiskBank; any other list of risks, agent by
+    agent.
     """
 
     def __init__(self, g_list):
         self.g_list = list(g_list)
+        banked = self.g_list and all(isinstance(g, SpeedRisk) for g in self.g_list)
+        self.risks = RiskBank(self.g_list) if banked else _PerAgent(self.g_list)
 
-    def derivative_sum(self, s):
+    def _speeds(self, s):
         s = np.asarray(s, dtype=float)
         if len(s) != len(self.g_list):
             raise DimensionMismatch(
                 f"{len(s)} speeds for {len(self.g_list)} risk functions"
             )
-        return float(sum(g.derivative(si) for g, si in zip(self.g_list, s)))
+        return s
+
+    def derivative_sum(self, s):
+        return float(np.sum(self.risks.derivative(self._speeds(s))))
 
     def second_derivative_sum(self, y):
-        return float(sum(g.second_derivative(y) for g in self.g_list))
+        return float(np.sum(self.risks.second_derivative(float(y))))
 
     def coupling(self, s, mu):
         """G(s) = -mu * sum_i g_i'(s_i), broadcast identically to all agents."""
@@ -62,10 +70,33 @@ class Aggregator:
 
     def residual_at(self, y):
         """|sum g_i'(y)| at a common speed, clamping y into each agent's domain."""
-        return abs(sum(g.derivative(g.clamp(y)) for g in self.g_list))
+        return abs(float(np.sum(self.risks.derivative(self.risks.clamp(float(y))))))
 
     def clamp(self, s):
-        return np.array([g.clamp(si) for g, si in zip(self.g_list, s)])
+        return self.risks.clamp(self._speeds(s))
+
+
+class _PerAgent:
+    """The per-agent loop, for risks that are not SpeedRisk (such as test doubles).
+
+    Takes one speed per agent, or one common speed for all.
+    """
+
+    def __init__(self, g_list):
+        self.g_list = g_list
+
+    def _each(self, method, s):
+        s = np.broadcast_to(s, len(self.g_list))
+        return np.array([getattr(g, method)(si) for g, si in zip(self.g_list, s)])
+
+    def derivative(self, s):
+        return self._each("derivative", s)
+
+    def second_derivative(self, s):
+        return self._each("second_derivative", s)
+
+    def clamp(self, s):
+        return self._each("clamp", s)
 
 
 def coupling(g_list, s, mu):
@@ -111,7 +142,8 @@ def step_per_agent(state, topology, k, g_list, config):
 class SimulationTrace:
     """Per-iteration record of a consensus run."""
 
-    speeds: list = field(default_factory=list)  # one vector per iteration, k=0 first
+    # one row per iteration, k=0 first; an (iterations + 1, n) array once run ends
+    speeds: list = field(default_factory=list)
     spreads: list = field(default_factory=list)
     couplings: list = field(default_factory=list)
     converged: bool = False
@@ -155,27 +187,32 @@ def run(initial_speeds, topology, g_list, config):
     spread0 = float(np.ptp(s)) if len(s) > 1 else 1.0
     state = ConsensusState(speeds=s, iteration=0)
 
-    for k in range(config.max_iterations + 1):
-        spread = float(np.ptp(state.speeds))
-        G = agg.coupling(state.speeds, config.mu)
-        trace.speeds.append(np.array(state.speeds))
-        trace.spreads.append(spread)
-        trace.couplings.append(G)
-        trace.iterations = k
+    try:
+        for k in range(config.max_iterations + 1):
+            spread = float(np.ptp(state.speeds))
+            G = agg.coupling(state.speeds, config.mu)
+            trace.speeds.append(state.speeds)
+            trace.spreads.append(spread)
+            trace.couplings.append(G)
+            trace.iterations = k
 
-        residual = agg.residual_at(float(np.mean(state.speeds)))
-        if spread < config.consensus_tol and residual < config.optimality_tol:
-            trace.converged = True
-            return trace
-        if k == config.max_iterations:
-            break
-        if not np.all(np.isfinite(state.speeds)):
-            raise NonConvergence("non-finite speeds encountered", trace)
-        if spread0 > 0 and spread > SPREAD_BLOWUP_FACTOR * spread0:
-            raise NonConvergence("spread blew up beyond the divergence guard", trace)
+            residual = agg.residual_at(float(np.mean(state.speeds)))
+            if spread < config.consensus_tol and residual < config.optimality_tol:
+                trace.converged = True
+                return trace
+            if k == config.max_iterations:
+                break
+            if not np.all(np.isfinite(state.speeds)):
+                raise NonConvergence("non-finite speeds encountered", trace)
+            if spread0 > 0 and spread > SPREAD_BLOWUP_FACTOR * spread0:
+                raise NonConvergence(
+                    "spread blew up beyond the divergence guard", trace
+                )
 
-        topology.record_speeds(k, state.speeds)
-        state = _advance(state, topology.build_matrix(k), agg, G)
+            topology.record_speeds(k, state.speeds)
+            state = _advance(state, topology.build_matrix(k), agg, G)
+    finally:
+        trace.speeds = np.array(trace.speeds)
 
     raise NonConvergence(
         f"no convergence within {config.max_iterations} iterations", trace

@@ -9,8 +9,6 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInput, InvalidSpec
 
@@ -81,15 +79,30 @@ class TopologySequence:
         return P
 
     def check_ergodicity_window(self, k_start, window):
-        """Strong connectivity of the directed union graph over the window."""
+        """Strong connectivity of the directed union graph over the window.
+
+        Strongly connected means every agent is reachable from agent 0 both
+        along the links and against them.
+        """
         if window < 1:
             raise DegenerateInput(f"window must be >= 1, got {window}")
-        links = [self.edges(k) for k in range(k_start, k_start + window)]
-        src, dst = map(np.concatenate, zip(*links))
-        n = self.n_agents
-        union = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-        n_strong, _ = connected_components(union, directed=True, connection="strong")
-        return ErgodicityReport(connected=n_strong == 1, k_start=k_start, window=window)
+        union = np.zeros((self.n_agents, self.n_agents), dtype=bool)
+        for k in range(k_start, k_start + window):
+            src, dst = self.edges(k)
+            union[src, dst] = True
+        connected = _reaches_all(union) and _reaches_all(union.T)
+        return ErgodicityReport(connected=connected, k_start=k_start, window=window)
+
+
+def _reaches_all(adjacency):
+    """Whether every node is reachable from node 0; adjacency[i, j] is a link i -> j."""
+    seen = np.zeros(len(adjacency), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 class CompleteTopology(TopologySequence):

@@ -3,21 +3,42 @@
 A RiskCurve is a strictly convex C^2 piecewise-cubic interpolant of
 (travel time, relative risk) control points. A SpeedRisk re-expresses it over
 speed through g(s) = f(d/s), which is strictly quasi-convex with a unique
-minimizer at d/t_tip.
+minimizer at d/t_tip. A RiskBank stacks a group's SpeedRisks into arrays, so
+that one numpy pass evaluates every agent.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateInput, InteriorMinimumMissing, NonConvexFit, OutOfDomain
-from .numeric import bisect_root, golden_section_minimize
 
-CONVEXITY_GRID = 1000
-TIPPING_WIDTH_TOL = 1e-8
+INTERIOR_PAD = 1e-7  # hours; a minimum this close to a domain end counts as on it
 QC_SEPARATION = 1e-6  # share of the domain below which rounding can tie a triple
 _DOMAIN_SLACK = 1e-12
+
+
+def _clip(x, lo, hi, name):
+    """x clipped into [lo, hi]; OutOfDomain beyond the rounding slack."""
+    x = np.asarray(x, dtype=float)
+    if (x < lo - _DOMAIN_SLACK).any() or (x > hi + _DOMAIN_SLACK).any():
+        raise OutOfDomain(f"{name}={x} outside [{lo}, {hi}]")
+    return np.clip(x, lo, hi)
+
+
+def _cubic(c, z, nu):
+    """The nu-th derivative of c[0] z^3 + c[1] z^2 + c[2] z + c[3], by Horner."""
+    if nu == 2:
+        return 6.0 * c[0] * z + 2.0 * c[1]
+    if nu == 1:
+        return (3.0 * c[0] * z + 2.0 * c[1]) * z + c[2]
+    r = c[0] * z  # in place from here on: value arrays run to 10^5 points
+    r += c[1]
+    r *= z
+    r += c[2]
+    r *= z
+    r += c[3]
+    return r
 
 
 @dataclass(frozen=True)
@@ -25,34 +46,32 @@ class RiskCurve:
     """Strictly convex travel-time risk function fitted through control points.
 
     Units: hours on the time axis, dimensionless relative risk on the value
-    axis. Immutable after construction.
+    axis. Immutable after construction. Piece j is the cubic
+    coef[:, j] in (t - knots[j]) on [knots[j], knots[j + 1]].
     """
 
     control_points: tuple
     domain: tuple  # (t_lo, t_hi), hours
     tipping_point: float  # interior global minimizer, hours
     breakeven_point: float | None  # first t > tipping where risk regains f(t_lo)
-    _spline: CubicSpline = field(repr=False, compare=False)
+    _knots: np.ndarray = field(repr=False, compare=False)
+    _coef: np.ndarray = field(repr=False, compare=False)  # (4, pieces)
 
-    def _check_domain(self, t):
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.domain
-        if np.any(t < lo - _DOMAIN_SLACK) or np.any(t > hi + _DOMAIN_SLACK):
-            raise OutOfDomain(f"t={t} outside [{lo}, {hi}]")
-        return np.clip(t, lo, hi)
+    def _eval(self, t, nu):
+        t = _clip(t, *self.domain, "t")
+        # the piece is the number of interior knots at or below t
+        j = np.searchsorted(self._knots[1:-1], t, side="right")
+        return _cubic(self._coef.take(j, axis=1), t - self._knots.take(j), nu)[()]
 
     def value(self, t):
-        t = self._check_domain(t)
-        return self._spline(t)[()]
+        return self._eval(t, 0)
 
     def derivative(self, t):
         """Analytic derivative of the piecewise polynomial."""
-        t = self._check_domain(t)
-        return self._spline(t, 1)[()]
+        return self._eval(t, 1)
 
     def second_derivative(self, t):
-        t = self._check_domain(t)
-        return self._spline(t, 2)[()]
+        return self._eval(t, 2)
 
     def to_speed_risk(self, distance):
         return to_speed_risk(self, distance)
@@ -79,11 +98,7 @@ class SpeedRisk:
         return self.distance / self.base.tipping_point
 
     def _check_domain(self, s):
-        s = np.asarray(s, dtype=float)
-        lo, hi = self.speed_domain
-        if np.any(s < lo - _DOMAIN_SLACK) or np.any(s > hi + _DOMAIN_SLACK):
-            raise OutOfDomain(f"s={s} outside [{lo}, {hi}]")
-        return np.clip(s, lo, hi)
+        return _clip(s, *self.speed_domain, "s")
 
     def clamp(self, s):
         lo, hi = self.speed_domain
@@ -97,70 +112,185 @@ class SpeedRisk:
         """g'(s) = -(d/s^2) f'(d/s), by the chain rule."""
         s = self._check_domain(s)
         d = self.distance
-        return -(d / s**2) * self.base.derivative(d / s)
+        return _slope(d, s, self.base.derivative(d / s))
 
     def second_derivative(self, s):
-        """g''(s) = (d/s^2)^2 f''(d/s) + (2d/s^3) f'(d/s)."""
         s = self._check_domain(s)
         d = self.distance
         t = d / s
-        return (d / s**2) ** 2 * self.base.second_derivative(t) + (
-            2.0 * d / s**3
-        ) * self.base.derivative(t)
+        return _curvature(
+            d, s, self.base.derivative(t), self.base.second_derivative(t)
+        )
+
+
+# The chain rule for g(s) = f(d/s), shared by SpeedRisk and RiskBank so both
+# round alike; products, not powers, which numpy rounds differently for
+# scalars and arrays.
+def _slope(d, s, f1):
+    """g'(s) = -(d/s^2) f'(d/s), given f1 = f'(d/s)."""
+    return -(d / (s * s)) * f1
+
+
+def _curvature(d, s, f1, f2):
+    """g''(s) = (d/s^2)^2 f''(d/s) + (2d/s^3) f'(d/s), given f1 and f2 there."""
+    q = d / (s * s)
+    return q * q * f2 + (2.0 * d / (s * s * s)) * f1
+
+
+class RiskBank:
+    """A group's SpeedRisks stacked row by row; each method is one numpy pass.
+
+    Evaluates with the same arithmetic as the per-agent SpeedRisk methods and
+    raises OutOfDomain for the same inputs. Curves with fewer knots than the
+    longest are padded with interior knots at +inf, which no time reaches.
+    """
+
+    def __init__(self, g_list):
+        curves = [g.base for g in g_list]
+        self.distance = np.array([g.distance for g in g_list], dtype=float)
+        self.t_lo, self.t_hi = np.array([c.domain for c in curves]).reshape(-1, 2).T
+        self.lo, self.hi = self.distance / self.t_hi, self.distance / self.t_lo
+        pieces = max((len(c._knots) - 1 for c in curves), default=1)
+        inner = np.full((len(curves), pieces - 1), np.inf)
+        left = np.zeros((len(curves), pieces))
+        coef = np.zeros((4, len(curves), pieces))
+        for row, c in enumerate(curves):
+            m = len(c._knots) - 1
+            inner[row, : m - 1] = c._knots[1:-1]
+            left[row, :m] = c._knots[:-1]
+            coef[:, row, :m] = c._coef
+        self._inner = inner
+        self._left = left.ravel()
+        self._coef = coef.reshape(4, -1)
+        self._first = np.arange(len(curves)) * pieces  # flat index of piece 0
+
+    @classmethod
+    def of(cls, group):
+        """The bank itself, or a new bank of a list of SpeedRisk."""
+        return group if isinstance(group, cls) else cls(group)
+
+    def _f(self, t, nu):
+        """nu-th derivative of each agent's f_i at its own travel time t_i."""
+        t = _clip(t, self.t_lo, self.t_hi, "t")
+        j = self._first + (self._inner <= t[:, None]).sum(axis=1)
+        return _cubic(self._coef.take(j, axis=1), t - self._left.take(j), nu)
+
+    def clamp(self, s):
+        """Each s_i (or one common s) clamped into agent i's speed domain."""
+        return np.clip(s, self.lo, self.hi)
+
+    def derivative(self, s):
+        """g_i'(s_i) per agent; s is one speed per agent or one for all."""
+        s = _clip(s, self.lo, self.hi, "s")
+        d = self.distance
+        return _slope(d, s, self._f(d / s, 1))
+
+    def second_derivative(self, s):
+        """g_i''(s_i) per agent; s is one speed per agent or one for all."""
+        s = _clip(s, self.lo, self.hi, "s")
+        d = self.distance
+        t = d / s
+        return _curvature(d, s, self._f(t, 1), self._f(t, 2))
+
+    def phi(self, s):
+        """phi(s) = sum_i d_i f_i'(d_i/s) at one common speed s."""
+        return float(np.sum(self.distance * self._f(self.distance / s, 1)))
+
+
+def _not_a_knot(x, y):
+    """Coefficients (4, m-1) of the not-a-knot cubic interpolant of (x, y).
+
+    Solves for the slopes at the knots: continuity of f'' at the interior
+    knots, and a single cubic across each pair of end pieces.
+    """
+    m = len(x)
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    A = np.zeros((m, m))
+    b = np.empty(m)
+    i = np.arange(1, m - 1)
+    A[i, i - 1] = h[1:]
+    A[i, i] = 2.0 * (h[:-1] + h[1:])
+    A[i, i + 1] = h[:-1]
+    b[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    A[0, :2] = h[1], d0
+    b[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
+    A[-1, -2:] = d1, h[-2]
+    b[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+    s = np.linalg.solve(A, b)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / h
+    return np.array([t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]])
 
 
 def fit_risk_curve(control_points):
     """Fit a strictly convex C^2 cubic interpolant through control points.
 
     Uses a not-a-knot cubic spline (so any cubic-representable input, e.g. a
-    parabola, is reproduced exactly), then verifies strict convexity of the
-    result on a dense grid and rejects failures.
+    parabola, is reproduced exactly) and rejects it unless f'' > 0 at every
+    knot, which is exact: f'' is linear on each piece. The tipping point is
+    the root of the quadratic f' on the piece where f' changes sign.
     """
     pts = [(float(t), float(r)) for t, r in control_points]
     if len(pts) < 4:
         raise DegenerateInput(f"need at least 4 control points, got {len(pts)}")
-    times = np.array([p[0] for p in pts])
-    risks = np.array([p[1] for p in pts])
+    times, risks = np.array(pts).T.copy()
+    h = np.diff(times)
     if np.any(times <= 0.0):
         raise DegenerateInput("all control-point times must be positive")
-    if np.any(np.diff(times) <= 0.0):
+    if np.any(h <= 0.0):
         raise DegenerateInput("control-point times must be strictly increasing")
 
-    spline = CubicSpline(times, risks, bc_type="not-a-knot")
+    c = _not_a_knot(times, risks)
     t_lo, t_hi = float(times[0]), float(times[-1])
 
-    grid = np.linspace(t_lo, t_hi, CONVEXITY_GRID)
-    d2 = spline(grid, 2)
+    d2 = np.append(2.0 * c[1], _cubic(c[:, -1], h[-1], 2))  # f'' at every knot
     if np.any(d2 <= 0.0):
-        bad = grid[int(np.argmin(d2))]
-        raise NonConvexFit(f"second derivative <= 0 near t={bad:.6g}")
+        bad = times[int(np.argmin(d2))]
+        raise NonConvexFit(f"second derivative <= 0 at knot t={bad:.6g}")
 
-    tipping = golden_section_minimize(spline, t_lo, t_hi, TIPPING_WIDTH_TOL)
-    # Strictly convex, so an interior minimum has zero slope; an endpoint
-    # bracket collapse means the true minimum sits on the boundary.
-    interior_pad = 10.0 * TIPPING_WIDTH_TOL
-    if tipping <= t_lo + interior_pad or tipping >= t_hi - interior_pad:
+    d1 = np.append(c[2], _cubic(c[:, -1], h[-1], 1))  # f' at every knot, rising
+    k = int(np.searchsorted(d1, 0.0))  # knots where f' < 0
+    if 0 < k < len(times):
+        # the root of 3a z^2 + 2b z + c with f'' = 2b > 0, in its stable form
+        a3, b2, c1 = 3.0 * c[0, k - 1], 2.0 * c[1, k - 1], c[2, k - 1]
+        disc = max(b2 * b2 - 4.0 * a3 * c1, 0.0)
+        tipping = float(times[k - 1] + 2.0 * c1 / (-b2 - np.sqrt(disc)))
+    else:
+        tipping = t_lo if k == 0 else t_hi
+    if tipping <= t_lo + INTERIOR_PAD or tipping >= t_hi - INTERIOR_PAD:
         raise InteriorMinimumMissing(
             f"curve minimum at or beyond domain endpoint (t={tipping:.6g})"
         )
 
-    breakeven = _find_breakeven(spline, t_lo, t_hi, tipping)
     return RiskCurve(
         control_points=tuple(pts),
         domain=(t_lo, t_hi),
         tipping_point=tipping,
-        breakeven_point=breakeven,
-        _spline=spline,
+        breakeven_point=_find_breakeven(times, c, tipping),
+        _knots=times,
+        _coef=c,
     )
 
 
-def _find_breakeven(spline, t_lo, t_hi, tipping):
-    """Smallest t > tipping with f(t) = f(t_lo); None if never regained."""
-    ref = float(spline(t_lo))
-    if float(spline(t_hi)) < ref:
+def _find_breakeven(x, c, tipping):
+    """Smallest t > tipping with f(t) = f(t_lo); None if never regained.
+
+    Past the tipping point f rises and is convex, so Newton's method from the
+    right end of the root's piece falls monotonically onto the root.
+    """
+    ref = c[3, 0]
+    at_knots = np.append(c[3], _cubic(c[:, -1], x[-1] - x[-2], 0))
+    if at_knots[-1] < ref:
         return None
-    root, _ = bisect_root(lambda t: float(spline(t)) - ref, tipping, t_hi)
-    return root
+    j = int(np.flatnonzero((x > tipping) & (at_knots >= ref))[0]) - 1
+    piece, z = c[:, j].tolist(), float(x[j + 1] - x[j])
+    for _ in range(64):
+        step = (_cubic(piece, z, 0) - ref) / _cubic(piece, z, 1)
+        if not step > 0.0 or z - step == z:
+            break
+        z -= step
+    return float(x[j] + z)
 
 
 def to_speed_risk(curve, distance):

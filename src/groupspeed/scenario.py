@@ -81,21 +81,22 @@ class Scenario:
     label: str
     seed: int
     n_agents: int
-    control_points: list  # one control-point list per agent
-    distances: list  # km
-    initial_speeds: list  # km/h
+    control_points: list  # one (m_i, 2) float array of (hours, risk) per agent
+    distances: np.ndarray  # km
+    initial_speeds: np.ndarray  # km/h
     topology: dict
     solver: dict
 
     def to_dict(self):
+        curves = [pts.tolist() for pts in self.control_points]
         return {
             "schema_version": SCHEMA_VERSION,
             "label": self.label,
             "seed": self.seed,
             "n_agents": self.n_agents,
-            "curves": {"per_agent_control_points": self.control_points},
-            "distances": {"values": self.distances},
-            "initial_speeds": {"values": self.initial_speeds},
+            "curves": {"per_agent_control_points": curves},
+            "distances": {"values": self.distances.tolist()},
+            "initial_speeds": {"values": self.initial_speeds.tolist()},
             "topology": self.topology,
             "solver": self.solver,
         }
@@ -144,9 +145,11 @@ def generate_scenario(spec):
     rng = np.random.default_rng(seed)
 
     if "per_agent_control_points" in curves:
-        cp = [list(map(list, pts)) for pts in curves["per_agent_control_points"]]
+        cp = [np.array(pts, dtype=float) for pts in curves["per_agent_control_points"]]
         if len(cp) != n:
             raise InvalidSpec(f"{len(cp)} curve sets for {n} agents")
+        if any(pts.ndim != 2 or pts.shape[1] != 2 for pts in cp):
+            raise InvalidSpec("control points must be (time, risk) pairs")
     elif "base_control_points" in curves:
         base = [list(map(float, p)) for p in curves["base_control_points"]]
         radius = float(curves.get("perturbation_radius", 0.1))
@@ -155,13 +158,13 @@ def generate_scenario(spec):
         # per-agent time-axis stretch moves tipping and breakeven together
         scales = rng.uniform(1.0 - radius, 1.0 + radius, n)
         cp = [
-            [[round(t * float(c), 6), r] for t, r in base]
+            np.array([[round(t * float(c), 6), r] for t, r in base])
             for c in scales
         ]
     else:
         raise InvalidSpec("curves must give base_control_points or per_agent_control_points")
 
-    cp = [sorted(pts) for pts in cp]
+    cp = [pts[np.lexsort(pts.T[::-1])] for pts in cp]  # by time, then risk
     dist = _materialize(rng, distances, n, "distances")
     init = _materialize(rng, speeds, n, "initial_speeds")
 
@@ -179,7 +182,7 @@ def generate_scenario(spec):
 
 def _materialize(rng, field_spec, n, name):
     if "values" in field_spec:
-        vals = [float(v) for v in field_spec["values"]]
+        vals = np.array([float(v) for v in field_spec["values"]])
         if len(vals) != n:
             raise InvalidSpec(f"{name}: {len(vals)} values for {n} agents")
         return vals
@@ -187,7 +190,7 @@ def _materialize(rng, field_spec, n, name):
         lo, hi = field_spec["uniform"]
         if not lo < hi or lo <= 0:
             raise InvalidSpec(f"{name}: bad uniform range [{lo}, {hi}]")
-        return [round(float(v), 6) for v in rng.uniform(lo, hi, n)]
+        return np.array([round(float(v), 6) for v in rng.uniform(lo, hi, n)])
     raise InvalidSpec(f"{name} must give 'values' or 'uniform'")
 
 
@@ -285,8 +288,8 @@ def _emit_artifacts(report, g_list, topology, out_dir, dump_matrices):
 
     ks = list(range(len(trace.speeds)))
     speed_series = [
-        (f"agent {i + 1}" if i < 5 else "", ks, [s[i] for s in trace.speeds])
-        for i in range(len(trace.speeds[0]))
+        (f"agent {i + 1}" if i < 5 else "", ks, list(trace.speeds[:, i]))
+        for i in range(trace.speeds.shape[1])
     ]
     svgchart.write_chart(
         os.path.join(out_dir, "speeds.svg"),

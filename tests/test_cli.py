@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import groupspeed
 from groupspeed.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -22,6 +26,12 @@ class TestGenerate:
         main(["generate", "--spec", "low_pollution", "--out", str(a), "--seed", "7"])
         main(["generate", "--spec", "low_pollution", "--out", str(b), "--seed", "8"])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("name", ["low_pollution", "high_pollution"])
+    def test_builtin_reproduces_shipped_file(self, tmp_path, name):
+        out = tmp_path / "s.json"
+        assert main(["generate", "--spec", name, "--out", str(out)]) == 0
+        assert out.read_bytes() == (SCENARIOS / f"{name}.json").read_bytes()
 
     def test_spec_from_file(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -108,3 +118,17 @@ class TestVerify:
         bad.write_text(json.dumps({"schema_version": 99}))
         assert main(["verify", "--scenario", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_needs_no_scipy():
+    src = str(Path(groupspeed.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, groupspeed; print([m for m in sys.modules if 'scipy' in m])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

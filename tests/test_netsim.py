@@ -223,6 +223,10 @@ class TestErgodicityWindow:
             cycle = FixedTopology(4, chain + [(3, 0)], directed=True)
             assert cycle.check_ergodicity_window(0, window).connected
 
+    def test_complete_union_at_high_in_degree(self):
+        # 299 links into every agent: a narrow integer count of them would wrap
+        assert CompleteTopology(300).check_ergodicity_window(0, 10).connected
+
     def test_bad_window(self):
         with pytest.raises(DegenerateInput):
             CompleteTopology(3).check_ergodicity_window(0, 0)

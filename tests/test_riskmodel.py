@@ -1,16 +1,47 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
+from scipy.interpolate import CubicSpline
 
+from groupspeed import scenario as scen
 from groupspeed.errors import (
     DegenerateInput,
     InteriorMinimumMissing,
     NonConvexFit,
     OutOfDomain,
 )
-from groupspeed.riskmodel import check_quasi_convexity, fit_risk_curve, to_speed_risk
+from groupspeed.riskmodel import (
+    RiskBank,
+    check_quasi_convexity,
+    fit_risk_curve,
+    to_speed_risk,
+)
 from groupspeed.scenario import HIGH_POLLUTION_POINTS, LOW_POLLUTION_POINTS
 
 from conftest import parabola_points, random_convex_curve
+
+
+def convex_points(rng, m):
+    """m control points of a convex quartic with an interior minimum.
+
+    Uneven knots and a quartic term, so the spline is not the curve itself.
+    """
+    lo, hi = rng.uniform(0.1, 0.5), rng.uniform(2.0, 4.0)
+    t = np.linspace(lo, hi, m)
+    t[1:-1] += rng.uniform(-0.3, 0.3, m - 2) * (hi - lo) / (m - 1)
+    c = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))
+    a, b = rng.uniform(0.3, 1.0), rng.uniform(0.2, 2.0)
+    e = rng.uniform(0.0, 0.1) * b
+    return np.column_stack([t, a + b * (t - c) ** 2 + e * (t - c) ** 4])
+
+
+def reference_curves():
+    """The shipped profiles and 200 seeded random convex point sets, 4-12 points."""
+    rng = np.random.default_rng(2024)
+    yield np.array(LOW_POLLUTION_POINTS)
+    yield np.array(HIGH_POLLUTION_POINTS)
+    for _ in range(200):
+        yield convex_points(rng, int(rng.integers(4, 13)))
 
 
 class TestFitRiskCurve:
@@ -39,6 +70,18 @@ class TestFitRiskCurve:
         with pytest.raises(DegenerateInput):
             fit_risk_curve([(1.0, 2.0), (1.0, 2.0), (2.0, 1.0), (3.0, 2.0)])
 
+    def test_dip_at_interior_knot_rejected(self):
+        # f'' of this fit is -3e-4 at t=1 and negative only within 2.5e-5 h of
+        # it; the nearest point of a 1000-point grid is 2.5e-4 h away
+        pts = parabola_points()
+        pts[3] = (1.0, 1.02884)
+        t, r = np.array(pts).T
+        spline = CubicSpline(t, r, bc_type="not-a-knot")
+        assert spline(1.0, 2) < 0
+        assert np.all(spline(np.linspace(t[0], t[-1], 1000), 2) > 0)
+        with pytest.raises(NonConvexFit):
+            fit_risk_curve(pts)
+
     def test_endpoint_minimum_rejected(self):
         # (t)^2 on [1, 3]: strictly convex but minimized at the left edge
         pts = [(t, t * t) for t in np.linspace(1.0, 3.0, 8)]
@@ -59,6 +102,38 @@ class TestFitRiskCurve:
         high = fit_risk_curve(HIGH_POLLUTION_POINTS)
         assert low.domain[0] < low.tipping_point < low.domain[1]
         assert high.tipping_point < low.tipping_point
+
+
+class TestScipyReference:
+    """The numpy fit against scipy's not-a-knot CubicSpline."""
+
+    def test_values_and_derivatives(self):
+        for pts in reference_curves():
+            curve = fit_risk_curve(pts)
+            t, r = pts.T
+            spline = CubicSpline(t, r, bc_type="not-a-knot")
+            grid = np.concatenate([t, np.linspace(t[0], t[-1], 2001)])
+            tol = 1e-12 * np.ptp(r)
+            for nu, f in enumerate(
+                (curve.value, curve.derivative, curve.second_derivative)
+            ):
+                np.testing.assert_allclose(f(grid), spline(grid, nu), rtol=0, atol=tol)
+
+    def test_tipping_and_breakeven_are_the_spline_roots(self):
+        regained = 0
+        for pts in reference_curves():
+            curve = fit_risk_curve(pts)
+            t, r = pts.T
+            spline = CubicSpline(t, r, bc_type="not-a-knot")
+            (tipping,) = spline.derivative().roots(extrapolate=False)
+            assert curve.tipping_point == pytest.approx(tipping, abs=1e-12)
+            ends = [x for x in spline.solve(r[0], extrapolate=False) if x > tipping]
+            if curve.breakeven_point is None:
+                assert not ends
+            else:
+                regained += 1
+                assert curve.breakeven_point == pytest.approx(ends[0], abs=1e-12)
+        assert 0 < regained < 202
 
 
 class TestEval:
@@ -193,3 +268,74 @@ class TestQuasiConvexity:
         g = to_speed_risk(parabola_curve, 2.0)
         with pytest.raises(DegenerateInput):
             check_quasi_convexity(g, samples=2)
+
+
+def _group(ragged):
+    """A scenario's risks: shipped 10-point curves, or 4-12 points per agent."""
+    spec = scen.BUILTIN_SPECS["high_pollution"] | {"n_agents": 25}
+    if ragged:
+        rng = np.random.default_rng(8)
+        curves = [convex_points(rng, m).tolist() for m in rng.integers(4, 13, 25)]
+        spec = spec | {"curves": {"per_agent_control_points": curves}}
+    return scen.generate_scenario(spec).build_risks()
+
+
+def _raises(f, x):
+    try:
+        f(x)
+    except OutOfDomain:
+        return True
+    return False
+
+
+class TestRiskBank:
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_equals_per_agent_methods(self, ragged):
+        g_list = _group(ragged)
+        bank = RiskBank(g_list)
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            s = rng.uniform(bank.lo, bank.hi)
+            assert_array_equal(
+                bank.derivative(s), [g.derivative(x) for g, x in zip(g_list, s)]
+            )
+            assert_array_equal(
+                bank.second_derivative(s),
+                [g.second_derivative(x) for g, x in zip(g_list, s)],
+            )
+            wide = rng.uniform(bank.lo - 5.0, bank.hi + 5.0)
+            assert_array_equal(
+                bank.clamp(wide), [g.clamp(x) for g, x in zip(g_list, wide)]
+            )
+        for y in np.linspace(np.max(bank.lo), np.min(bank.hi), 50):
+            assert_array_equal(bank.derivative(y), [g.derivative(y) for g in g_list])
+            assert_array_equal(
+                bank.second_derivative(y), [g.second_derivative(y) for g in g_list]
+            )
+            terms = [g.distance * g.base.derivative(g.distance / y) for g in g_list]
+            assert bank.phi(y) == np.sum(terms)
+
+    def test_out_of_domain_exactly_where_per_agent_raises(self):
+        g_list = _group(ragged=True)
+        bank = RiskBank(g_list)
+        mid = 0.5 * (bank.lo + bank.hi)
+        outcomes = set()
+        for i, g in enumerate(g_list):
+            for edge, side in ((bank.lo[i], -1.0), (bank.hi[i], 1.0)):
+                for offset in (0.0, 0.5e-12, 2e-12, 1e-6):
+                    s = mid.copy()
+                    s[i] = edge + side * offset
+                    for method in ("derivative", "second_derivative"):
+                        raised = _raises(getattr(bank, method), s)
+                        assert raised == _raises(getattr(g, method), s[i])
+                        outcomes.add(raised)
+                    raised = _raises(bank.derivative, s[i])
+                    assert raised == any(_raises(h.derivative, s[i]) for h in g_list)
+            for t in g.base.domain:
+                for offset in (-2e-12, -0.5e-12, 0.0, 0.5e-12, 2e-12):
+                    y = g.distance / (t + offset)
+                    per_agent = [
+                        _raises(h.base.derivative, h.distance / y) for h in g_list
+                    ]
+                    assert _raises(bank.phi, y) == any(per_agent)
+        assert outcomes == {True, False}

@@ -28,7 +28,7 @@ class TestGenerateScenario:
         spec = low_spec()
         spec["curves"]["perturbation_radius"] = 0.0
         s = scen.generate_scenario(spec)
-        assert all(cp == s.control_points[0] for cp in s.control_points)
+        assert all(np.array_equal(cp, s.control_points[0]) for cp in s.control_points)
 
     def test_deterministic_given_seed(self):
         a = scen.generate_scenario(low_spec())
@@ -38,7 +38,7 @@ class TestGenerateScenario:
     def test_seed_changes_samples(self):
         a = scen.generate_scenario(low_spec(seed=1))
         b = scen.generate_scenario(low_spec(seed=2))
-        assert a.distances != b.distances
+        assert not np.array_equal(a.distances, b.distances)
 
     def test_save_is_byte_identical(self, tmp_path):
         s = scen.generate_scenario(low_spec())
@@ -85,8 +85,8 @@ class TestGenerateScenario:
         spec["distances"] = {"values": [16.0, 18.0]}
         spec["initial_speeds"] = {"values": [11.0, 12.0]}
         s = scen.generate_scenario(spec)
-        assert s.distances == [16.0, 18.0]
-        assert s.initial_speeds == [11.0, 12.0]
+        assert np.array_equal(s.distances, [16.0, 18.0])
+        assert np.array_equal(s.initial_speeds, [11.0, 12.0])
 
 
 class TestRunExperiment:
