@@ -147,7 +147,8 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except GroupSpeedError as exc:
+    except (GroupSpeedError, OSError, json.JSONDecodeError) as exc:
+        # a bad scenario or spec, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

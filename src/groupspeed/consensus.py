@@ -2,16 +2,19 @@
 
 The averaging part P(k) pulls the speed vector toward agreement while the
 broadcast scalar G(s) = -mu * sum_i g_i'(s_i) steers the agreement value
-toward the aggregate optimum. Derivative evaluation is confined to the
-Aggregator so individual risk functions never leave it.
+toward the aggregate optimum. Every function takes the group's risks as one
+evaluator, a `RiskBank` (a list of SpeedRisk is stacked into one), and reads
+only its per-agent derivatives, curvatures and clamp.
 """
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
-from .riskmodel import RiskBank, SpeedRisk
+from .riskmodel import RiskBank
 
 FORM_AGREEMENT_TOL = 1e-12
 SPREAD_BLOWUP_FACTOR = 1e3
@@ -25,10 +28,21 @@ class SolverConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if min(self.mu, self.consensus_tol, self.optimality_tol) <= 0:
-            raise ValueError("mu and tolerances must be strictly positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        values = (self.mu, self.consensus_tol, self.optimality_tol)
+        try:
+            positive = all(math.isfinite(v) and v > 0 for v in values)
+        except TypeError:  # not a number
+            positive = False
+        if not positive:
+            raise ValueError(f"mu and tolerances must be finite and > 0, got {values}")
+        try:
+            budget = operator.index(self.max_iterations)
+        except TypeError:  # a fractional count such as 2.5, or not a number
+            budget = 0
+        if budget < 1:
+            raise ValueError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -37,85 +51,37 @@ class ConsensusState:
     iteration: int = 0
 
 
-class Aggregator:
-    """Central-agent role: sees every g_i and broadcasts scalar summaries.
-
-    Keeps the risk functions out of the per-agent update path. A list of
-    SpeedRisk is evaluated as one RiskBank; any other list of risks, agent by
-    agent.
-    """
-
-    def __init__(self, g_list):
-        self.g_list = list(g_list)
-        banked = self.g_list and all(isinstance(g, SpeedRisk) for g in self.g_list)
-        self.risks = RiskBank(self.g_list) if banked else _PerAgent(self.g_list)
-
-    def _speeds(self, s):
-        s = np.asarray(s, dtype=float)
-        if len(s) != len(self.g_list):
-            raise DimensionMismatch(
-                f"{len(s)} speeds for {len(self.g_list)} risk functions"
-            )
-        return s
-
-    def derivative_sum(self, s):
-        return float(np.sum(self.risks.derivative(self._speeds(s))))
-
-    def second_derivative_sum(self, y):
-        return float(np.sum(self.risks.second_derivative(float(y))))
-
-    def coupling(self, s, mu):
-        """G(s) = -mu * sum_i g_i'(s_i), broadcast identically to all agents."""
-        return -mu * self.derivative_sum(s)
-
-    def residual_at(self, y):
-        """|sum g_i'(y)| at a common speed, clamping y into each agent's domain."""
-        return abs(float(np.sum(self.risks.derivative(self.risks.clamp(float(y))))))
-
-    def clamp(self, s):
-        return self.risks.clamp(self._speeds(s))
+def _speeds(bank, s):
+    """s as a float array, one speed per agent of the bank."""
+    s = np.asarray(s, dtype=float)
+    if len(s) != len(bank):
+        raise DimensionMismatch(f"{len(s)} speeds for {len(bank)} risk functions")
+    return s
 
 
-class _PerAgent:
-    """The per-agent loop, for risks that are not SpeedRisk (such as test doubles).
-
-    Takes one speed per agent, or one common speed for all.
-    """
-
-    def __init__(self, g_list):
-        self.g_list = g_list
-
-    def _each(self, method, s):
-        s = np.broadcast_to(s, len(self.g_list))
-        return np.array([getattr(g, method)(si) for g, si in zip(self.g_list, s)])
-
-    def derivative(self, s):
-        return self._each("derivative", s)
-
-    def second_derivative(self, s):
-        return self._each("second_derivative", s)
-
-    def clamp(self, s):
-        return self._each("clamp", s)
+def _derivative_sum(bank, s):
+    """sum_i g_i'(s_i), one speed per agent."""
+    return float(np.sum(bank.derivative(_speeds(bank, s))))
 
 
 def coupling(g_list, s, mu):
-    return Aggregator(g_list).coupling(s, mu)
+    """G(s) = -mu * sum_i g_i'(s_i), broadcast identically to all agents."""
+    return -mu * _derivative_sum(RiskBank.of(g_list), s)
 
 
 def step(state, P, g_list, config):
     """One iteration: averaging plus broadcast coupling, then domain clamp."""
-    agg = g_list if isinstance(g_list, Aggregator) else Aggregator(g_list)
+    bank = RiskBank.of(g_list)
     s = np.asarray(state.speeds, dtype=float)
     P = np.asarray(P, dtype=float)
     if P.shape != (len(s), len(s)):
         raise DimensionMismatch(f"matrix shape {P.shape} vs state length {len(s)}")
-    return _advance(state, P, agg, agg.coupling(s, config.mu))
+    return _advance(state, P, bank, coupling(bank, s, config.mu))
 
 
-def _advance(state, P, agg, G):
+def _advance(state, P, bank, G):
     """The update itself, given the coupling G already computed for state."""
-    new = agg.clamp(P @ np.asarray(state.speeds, dtype=float) + G)
+    new = bank.clamp(P @ np.asarray(state.speeds, dtype=float) + G)
     return ConsensusState(speeds=new, iteration=state.iteration + 1)
 
 
@@ -126,16 +92,16 @@ def step_per_agent(state, topology, k, g_list, config):
     weight eta = 1/(|N|+1), then adds the broadcast -mu * derivative sum.
     Must agree with the matrix form to within FORM_AGREEMENT_TOL.
     """
-    agg = g_list if isinstance(g_list, Aggregator) else Aggregator(g_list)
+    bank = RiskBank.of(g_list)
     s = np.asarray(state.speeds, dtype=float)
-    broadcast = config.mu * agg.derivative_sum(s)
+    broadcast = config.mu * _derivative_sum(bank, s)
     new = np.empty_like(s)
     for i in range(len(s)):
         nbrs = topology.neighbors(k, i)
         eta = 1.0 / (len(nbrs) + 1)
         q = eta * sum(s[j] - s[i] for j in nbrs)
         new[i] = s[i] + q - broadcast
-    return ConsensusState(speeds=agg.clamp(new), iteration=state.iteration + 1)
+    return ConsensusState(speeds=bank.clamp(new), iteration=state.iteration + 1)
 
 
 @dataclass
@@ -177,8 +143,8 @@ def run(initial_speeds, topology, g_list, config):
     optimality_tol. Raises NonConvergence (with the partial trace attached)
     on budget exhaustion, non-finite speeds, or spread blow-up.
     """
-    agg = Aggregator(g_list)
-    s = agg.clamp(np.asarray(initial_speeds, dtype=float))
+    bank = RiskBank.of(g_list)
+    s = bank.clamp(_speeds(bank, initial_speeds))
     if len(s) != topology.n_agents:
         raise DimensionMismatch(
             f"{len(s)} initial speeds for {topology.n_agents} agents"
@@ -190,13 +156,15 @@ def run(initial_speeds, topology, g_list, config):
     try:
         for k in range(config.max_iterations + 1):
             spread = float(np.ptp(state.speeds))
-            G = agg.coupling(state.speeds, config.mu)
+            G = coupling(bank, state.speeds, config.mu)
             trace.speeds.append(state.speeds)
             trace.spreads.append(spread)
             trace.couplings.append(G)
             trace.iterations = k
 
-            residual = agg.residual_at(float(np.mean(state.speeds)))
+            # |sum_i g_i'| at the mean, clamped into each agent's domain
+            mean = float(np.mean(state.speeds))
+            residual = abs(float(np.sum(bank.derivative(bank.clamp(mean)))))
             if spread < config.consensus_tol and residual < config.optimality_tol:
                 trace.converged = True
                 return trace
@@ -210,7 +178,7 @@ def run(initial_speeds, topology, g_list, config):
                 )
 
             topology.record_speeds(k, state.speeds)
-            state = _advance(state, topology.build_matrix(k), agg, G)
+            state = _advance(state, topology.build_matrix(k), bank, G)
     finally:
         trace.speeds = np.array(trace.speeds)
 
@@ -236,8 +204,8 @@ class StabilityReport:
 
 
 def lure_stability(g_list, y_star, mu):
-    agg = g_list if isinstance(g_list, Aggregator) else Aggregator(g_list)
-    curv = agg.second_derivative_sum(y_star)
+    bank = RiskBank.of(g_list)
+    curv = float(np.sum(bank.second_derivative(float(y_star))))
     h_prime = 1.0 - mu * curv
     interval = (0.0, 2.0 / curv) if curv > 0 else None
     stable = abs(h_prime) < 1.0
@@ -252,11 +220,11 @@ def lure_stability(g_list, y_star, mu):
 
 def scalar_descent(g_list, y0, mu, n_iter):
     """Iterate the scalar agreement-direction dynamics directly (no clamping)."""
-    agg = g_list if isinstance(g_list, Aggregator) else Aggregator(g_list)
+    bank = RiskBank.of(g_list)
     ys = [float(y0)]
     y = float(y0)
     for _ in range(n_iter):
-        y = y - mu * agg.derivative_sum(np.full(len(agg.g_list), y))
+        y = y - mu * _derivative_sum(bank, np.full(len(bank), y))
         ys.append(y)
         if not np.isfinite(y):
             break
@@ -265,8 +233,8 @@ def scalar_descent(g_list, y0, mu, n_iter):
 
 def auto_mu(g_list, y_star, fraction=0.5):
     """Step gain at `fraction` of the scalar stability bound at y_star."""
-    agg = g_list if isinstance(g_list, Aggregator) else Aggregator(g_list)
-    curv = agg.second_derivative_sum(y_star)
+    bank = RiskBank.of(g_list)
+    curv = float(np.sum(bank.second_derivative(float(y_star))))
     if curv <= 0:
         raise ValueError(f"nonpositive curvature sum {curv} at y={y_star}")
     return fraction * 2.0 / curv

@@ -39,26 +39,17 @@ def common_speed_domain(g_list):
     return lo, hi
 
 
-def _phi(g_list, s):
-    """sum_i d_i f_i'(d_i/s); positive below the optimum, negative above."""
-    return RiskBank.of(g_list).phi(s)
-
-
-def derivative_sum(g_list, s):
-    return float(np.sum(RiskBank.of(g_list).derivative(s)))
-
-
 def solve_common_speed(g_list, tol=1e-8):
     """Bisection root of phi on the common speed domain.
 
     When phi does not change sign the optimum sits on a domain boundary; the
     certificate then carries the better endpoint with `at_boundary` set.
     """
-    if not g_list:
-        raise DegenerateInput("empty agent list")
     bank = RiskBank.of(g_list)
+    if len(bank) == 0:
+        raise DegenerateInput("empty agent list")
     lo, hi = common_speed_domain(bank)
-    f_lo, f_hi = _phi(bank, lo), _phi(bank, hi)
+    f_lo, f_hi = bank.phi(lo), bank.phi(hi)
 
     if f_lo * f_hi > 0:
         # strictly decreasing phi: all-positive means the root lies above hi
@@ -71,7 +62,7 @@ def solve_common_speed(g_list, tol=1e-8):
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
-        fm = _phi(bank, m)
+        fm = bank.phi(m)
         if fm == 0.0:
             a = b = m
             break
@@ -85,7 +76,7 @@ def solve_common_speed(g_list, tol=1e-8):
 def _certificate(bank, s_star, bracket, at_boundary):
     return OptimalityCertificate(
         s_star=float(s_star),
-        residual=derivative_sum(bank, s_star),
+        residual=float(np.sum(bank.derivative(s_star))),
         t_star_list=tuple((bank.distance / s_star).tolist()),
         bracket=float(bracket),
         at_boundary=at_boundary,

@@ -166,8 +166,15 @@ class RiskBank:
 
     @classmethod
     def of(cls, group):
-        """The bank itself, or a new bank of a list of SpeedRisk."""
-        return group if isinstance(group, cls) else cls(group)
+        """A new bank of a list or tuple of SpeedRisk; any other group unchanged.
+
+        A group passed through is a RiskBank, or an object with its len,
+        derivative, second_derivative and clamp, such as a test double.
+        """
+        return cls(group) if isinstance(group, (list, tuple)) else group
+
+    def __len__(self):
+        return len(self.distance)
 
     def _f(self, t, nu):
         """nu-th derivative of each agent's f_i at its own travel time t_i."""

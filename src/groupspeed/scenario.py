@@ -13,7 +13,7 @@ import numpy as np
 
 from . import consensus, netsim, oracle, svgchart
 from .errors import InvalidSpec, NonConvergence
-from .riskmodel import fit_risk_curve
+from .riskmodel import RiskBank, fit_risk_curve
 
 SCHEMA_VERSION = 1
 
@@ -32,45 +32,34 @@ HIGH_POLLUTION_POINTS = [
     [1.7889, 4.4567], [2.0, 5.8193],
 ]
 
+
+def _builtin_spec(label, points):
+    """A shipped 15-agent spec: the curve profile perturbed per agent."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "label": label,
+        "seed": 1,
+        "n_agents": 15,
+        "curves": {"base_control_points": points, "perturbation_radius": 0.1},
+        "distances": {"uniform": [15.0, 20.0]},
+        "initial_speeds": {"uniform": [10.0, 15.0]},
+        "topology": {"model": "complete"},
+        "solver": {
+            "mu": None,
+            "consensus_tol": 0.005,
+            "optimality_tol": 1e-6,
+            "max_iterations": 500,
+        },
+    }
+
+
 BUILTIN_SPECS = {
-    "low_pollution": {
-        "schema_version": SCHEMA_VERSION,
-        "label": "low pollution (PM2.5 50 ug/m3)",
-        "seed": 1,
-        "n_agents": 15,
-        "curves": {
-            "base_control_points": LOW_POLLUTION_POINTS,
-            "perturbation_radius": 0.1,
-        },
-        "distances": {"uniform": [15.0, 20.0]},
-        "initial_speeds": {"uniform": [10.0, 15.0]},
-        "topology": {"model": "complete"},
-        "solver": {
-            "mu": None,
-            "consensus_tol": 0.005,
-            "optimality_tol": 1e-6,
-            "max_iterations": 500,
-        },
-    },
-    "high_pollution": {
-        "schema_version": SCHEMA_VERSION,
-        "label": "high pollution (PM2.5 153 ug/m3)",
-        "seed": 1,
-        "n_agents": 15,
-        "curves": {
-            "base_control_points": HIGH_POLLUTION_POINTS,
-            "perturbation_radius": 0.1,
-        },
-        "distances": {"uniform": [15.0, 20.0]},
-        "initial_speeds": {"uniform": [10.0, 15.0]},
-        "topology": {"model": "complete"},
-        "solver": {
-            "mu": None,
-            "consensus_tol": 0.005,
-            "optimality_tol": 1e-6,
-            "max_iterations": 500,
-        },
-    },
+    "low_pollution": _builtin_spec(
+        "low pollution (PM2.5 50 ug/m3)", LOW_POLLUTION_POINTS
+    ),
+    "high_pollution": _builtin_spec(
+        "high pollution (PM2.5 153 ug/m3)", HIGH_POLLUTION_POINTS
+    ),
 }
 
 
@@ -139,8 +128,12 @@ def generate_scenario(spec):
         solver = dict(spec["solver"])
     except KeyError as exc:
         raise InvalidSpec(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed field: {exc}") from exc
     if n < 1:
         raise InvalidSpec(f"n_agents must be >= 1, got {n}")
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
 
@@ -239,28 +232,30 @@ class ExperimentReport:
 def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
     """Run consensus plus the oracle, emit trace/plots, return a report."""
     g_list = scenario.build_risks()
+    bank = RiskBank(g_list)
     topology = scenario.build_topology()
-    certificate = oracle.solve_common_speed(g_list, tol=1e-8)
+    certificate = oracle.solve_common_speed(bank, tol=1e-8)
 
     solver = dict(scenario.solver)
     if max_iters is not None:
         solver["max_iterations"] = int(max_iters)
     mu = solver.get("mu")
     if mu is None:
-        mu = consensus.auto_mu(g_list, certificate.s_star)
-    config = consensus.SolverConfig(
-        mu=mu,
-        consensus_tol=solver.get("consensus_tol", 0.01),
-        optimality_tol=solver.get("optimality_tol", 1e-6),
-        max_iterations=solver.get("max_iterations", 500),
-    )
-
-    converged = True
+        mu = consensus.auto_mu(bank, certificate.s_star)
     try:
-        trace = consensus.run(scenario.initial_speeds, topology, g_list, config)
+        config = consensus.SolverConfig(
+            mu=mu,
+            consensus_tol=solver.get("consensus_tol", 0.01),
+            optimality_tol=solver.get("optimality_tol", 1e-6),
+            max_iterations=solver.get("max_iterations", 500),
+        )
+    except ValueError as exc:
+        raise InvalidSpec(f"solver: {exc}") from exc
+
+    try:
+        trace = consensus.run(scenario.initial_speeds, topology, bank, config)
     except NonConvergence as exc:
         trace = exc.trace
-        converged = False
 
     window = min(10, max(1, trace.iterations))
     ergodicity = topology.check_ergodicity_window(0, window)
@@ -271,7 +266,7 @@ def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
         certificate=certificate,
         mu=mu,
         ergodicity=ergodicity,
-        converged=converged and trace.converged,
+        converged=trace.converged,
     )
 
     if out_dir is not None:

@@ -28,22 +28,20 @@ def random_convex_curve(rng, lo=0.3, hi=3.0, n_pts=9):
     return fit_risk_curve(pts)
 
 
-class QuadraticSpeedUtility:
-    """Test double for SpeedRisk: g(s) = (s - a)^2 on the whole line."""
-
-    speed_domain = (-1e18, 1e18)
+class QuadraticGroup:
+    """Test double for a RiskBank: g_i(s) = (s - a_i)^2 on the whole line."""
 
     def __init__(self, a):
-        self.a = float(a)
+        self.a = np.array(a, dtype=float)
+
+    def __len__(self):
+        return len(self.a)
 
     def clamp(self, s):
-        return float(s)
-
-    def value(self, s):
-        return (np.asarray(s, dtype=float) - self.a) ** 2
+        return np.broadcast_to(s, self.a.shape).astype(float)
 
     def derivative(self, s):
-        return (2.0 * (np.asarray(s, dtype=float) - self.a))[()]
+        return 2.0 * (np.asarray(s, dtype=float) - self.a)
 
     def second_derivative(self, s):
-        return 2.0
+        return np.full(len(self.a), 2.0)

@@ -20,7 +20,7 @@ from groupspeed.netsim import (
 )
 from groupspeed.riskmodel import check_quasi_convexity, fit_risk_curve, to_speed_risk
 
-from conftest import QuadraticSpeedUtility, parabola_points, random_convex_curve
+from conftest import QuadraticGroup, parabola_points, random_convex_curve
 
 
 def _report(n, label, ok, detail=""):
@@ -174,7 +174,7 @@ def test_criterion_7_lure_stability_boundary():
     for trial in range(10):
         n = int(rng.integers(2, 7))
         a = rng.uniform(1.0, 5.0, n)
-        g_list = [QuadraticSpeedUtility(float(x)) for x in a]
+        g_list = QuadraticGroup(a)
         y_star = float(np.mean(a))
         bound = 2.0 / (2.0 * n)
 

@@ -120,6 +120,50 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Bad values and unreadable files end in `error:` and exit 2."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mu", -1),
+            ("mu", float("nan")),
+            ("mu", float("inf")),
+            ("consensus_tol", float("nan")),
+            ("max_iterations", 0),
+            ("max_iterations", 2.5),
+            ("n_agents", "x"),
+            ("seed", "x"),
+            ("seed", -1),
+        ],
+    )
+    def test_bad_value(self, tmp_path, capsys, field, value):
+        spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
+        (spec["solver"] if field in spec["solver"] else spec)[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_sweep_zero_mu(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--scenario", str(SCENARIOS / "low_pollution.json"),
+             "--out", str(tmp_path), "--mu", "0"]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["run", "--scenario", str(tmp_path / "absent.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"schema_version": 1,')
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_import_needs_no_scipy():
     src = str(Path(groupspeed.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

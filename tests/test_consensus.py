@@ -5,9 +5,9 @@ from groupspeed import consensus
 from groupspeed.consensus import ConsensusState, SolverConfig
 from groupspeed.errors import DimensionMismatch, NonConvergence
 from groupspeed.netsim import CompleteTopology, FixedTopology, RandomFailureTopology
-from groupspeed.riskmodel import fit_risk_curve, to_speed_risk
+from groupspeed.riskmodel import RiskBank, fit_risk_curve, to_speed_risk
 
-from conftest import QuadraticSpeedUtility, parabola_points, random_convex_curve
+from conftest import QuadraticGroup, parabola_points, random_convex_curve
 
 
 def _config(mu=0.1, **kw):
@@ -26,29 +26,35 @@ class TestCoupling:
         )
 
     def test_quadratic_closed_form(self):
-        g_list = [QuadraticSpeedUtility(2.0), QuadraticSpeedUtility(2.0)]
+        g_list = QuadraticGroup([2.0, 2.0])
         # -0.1 * (2(1-2) + 2(2-2)) = 0.2
         assert consensus.coupling(g_list, [1.0, 2.0], mu=0.1) == pytest.approx(0.2)
 
     def test_mu_zero_limit(self):
-        g_list = [QuadraticSpeedUtility(3.0)]
+        g_list = QuadraticGroup([3.0])
         assert consensus.coupling(g_list, [7.0], mu=0.0) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            consensus.coupling([QuadraticSpeedUtility(1.0)], [1.0, 2.0], mu=0.1)
+            consensus.coupling(QuadraticGroup([1.0]), [1.0, 2.0], mu=0.1)
+
+    def test_dimension_mismatch_real_bank(self):
+        curve = fit_risk_curve(parabola_points())
+        bank = RiskBank([to_speed_risk(curve, d) for d in (1.0, 2.0)])
+        with pytest.raises(DimensionMismatch):
+            consensus.coupling(bank, [1.5, 1.5, 1.5], mu=0.1)
 
 
 class TestStep:
     def test_fixed_point_identity_matrix(self):
-        g_list = [QuadraticSpeedUtility(2.0), QuadraticSpeedUtility(5.0)]
+        g_list = QuadraticGroup([2.0, 5.0])
         state = ConsensusState(speeds=np.array([2.0, 5.0]))
         out = consensus.step(state, np.eye(2), g_list, _config())
         np.testing.assert_allclose(out.speeds, [2.0, 5.0], atol=1e-15)
         assert out.iteration == 1
 
     def test_hand_computed_two_agent_step(self):
-        g_list = [QuadraticSpeedUtility(2.0), QuadraticSpeedUtility(2.0)]
+        g_list = QuadraticGroup([2.0, 2.0])
         state = ConsensusState(speeds=np.array([1.0, 3.0]))
         P = np.full((2, 2), 0.5)
         out = consensus.step(state, P, g_list, _config(mu=0.1))
@@ -56,7 +62,7 @@ class TestStep:
         np.testing.assert_allclose(out.speeds, [2.0, 2.0], atol=1e-15)
 
     def test_consensus_optimum_is_equilibrium(self):
-        g_list = [QuadraticSpeedUtility(1.0), QuadraticSpeedUtility(3.0)]
+        g_list = QuadraticGroup([1.0, 3.0])
         # sum g_i'(2) = 2(2-1) + 2(2-3) = 0
         state = ConsensusState(speeds=np.array([2.0, 2.0]))
         P = np.full((2, 2), 0.5)
@@ -64,7 +70,7 @@ class TestStep:
         np.testing.assert_allclose(out.speeds, [2.0, 2.0], atol=1e-15)
 
     def test_dimension_mismatch(self):
-        g_list = [QuadraticSpeedUtility(1.0)]
+        g_list = QuadraticGroup([1.0])
         state = ConsensusState(speeds=np.array([1.0]))
         with pytest.raises(DimensionMismatch):
             consensus.step(state, np.eye(2), g_list, _config())
@@ -93,7 +99,7 @@ class TestFormEquivalence:
 class TestRun:
     def test_quadratic_equal_distances_mean_of_minimizers(self):
         a = [1.0, 2.0, 3.0, 6.0]
-        g_list = [QuadraticSpeedUtility(x) for x in a]
+        g_list = QuadraticGroup(a)
         trace = consensus.run([5.0, 1.0, 4.0, 2.0], CompleteTopology(4),
                               g_list, _config(mu=0.05))
         assert trace.converged
@@ -108,7 +114,7 @@ class TestRun:
         assert trace.final_common_speed == pytest.approx(2.0, abs=1e-4)
 
     def test_disconnected_cliques_spread_stuck(self):
-        g_list = [QuadraticSpeedUtility(2.0)] * 4
+        g_list = QuadraticGroup([2.0] * 4)
         top = FixedTopology(4, [(0, 1), (2, 3)])
         with pytest.raises(NonConvergence) as exc:
             consensus.run([1.0, 1.0, 9.0, 9.0], top, g_list,
@@ -120,7 +126,7 @@ class TestRun:
         assert trace.spreads[-1] > 0.01
 
     def test_divergence_guard_attaches_trace(self):
-        g_list = [QuadraticSpeedUtility(0.0), QuadraticSpeedUtility(0.0)]
+        g_list = QuadraticGroup([0.0, 0.0])
         # mu far beyond the stability bound 2 / (2 n) = 0.5
         with pytest.raises(NonConvergence) as exc:
             consensus.run([1.0, 1.1], CompleteTopology(2), g_list,
@@ -129,7 +135,7 @@ class TestRun:
 
     def test_monotone_spread_complete_graph_no_coupling(self):
         rng = np.random.default_rng(3)
-        g_list = [QuadraticSpeedUtility(2.0)] * 5
+        g_list = QuadraticGroup([2.0] * 5)
         speeds = rng.uniform(0.0, 10.0, 5)
         state = ConsensusState(speeds=speeds)
         top = CompleteTopology(5)
@@ -154,7 +160,7 @@ class TestRun:
 
 class TestTraceCsv:
     def test_header_and_rows(self, tmp_path):
-        g_list = [QuadraticSpeedUtility(2.0), QuadraticSpeedUtility(4.0)]
+        g_list = QuadraticGroup([2.0, 4.0])
         trace = consensus.run([1.0, 5.0], CompleteTopology(2), g_list,
                               _config(mu=0.1))
         path = tmp_path / "trace.csv"
@@ -169,21 +175,21 @@ class TestTraceCsv:
 
 class TestLureStability:
     def test_quadratic_interval(self):
-        g_list = [QuadraticSpeedUtility(1.0), QuadraticSpeedUtility(3.0)]
+        g_list = QuadraticGroup([1.0, 3.0])
         rep = consensus.lure_stability(g_list, y_star=2.0, mu=0.1)
         assert rep.curvature_sum == pytest.approx(4.0)
         assert rep.mu_interval == pytest.approx((0.0, 0.5))
         assert rep.stable
 
     def test_tiny_mu_stable_but_slow(self):
-        g_list = [QuadraticSpeedUtility(2.0)]
+        g_list = QuadraticGroup([2.0])
         rep = consensus.lure_stability(g_list, y_star=2.0, mu=1e-3)
         assert rep.stable
         assert rep.slow
         assert rep.h_prime < 1.0
 
     def test_mu_beyond_bound_unstable_and_scalar_iteration_diverges(self):
-        g_list = [QuadraticSpeedUtility(1.0), QuadraticSpeedUtility(3.0)]
+        g_list = QuadraticGroup([1.0, 3.0])
         mu = 1.1 * 0.5
         rep = consensus.lure_stability(g_list, y_star=2.0, mu=mu)
         assert not rep.stable
@@ -191,20 +197,20 @@ class TestLureStability:
         assert abs(ys[-1] - 2.0) > abs(ys[0] - 2.0)
 
     def test_mu_inside_bound_scalar_iteration_converges(self):
-        g_list = [QuadraticSpeedUtility(1.0), QuadraticSpeedUtility(3.0)]
+        g_list = QuadraticGroup([1.0, 3.0])
         ys = consensus.scalar_descent(g_list, y0=2.3, mu=0.9 * 0.5, n_iter=60)
         assert abs(ys[-1] - 2.0) < 1e-6
 
 
 class TestAutoMu:
     def test_half_bound_for_quadratics(self):
-        g_list = [QuadraticSpeedUtility(1.0), QuadraticSpeedUtility(3.0)]
+        g_list = QuadraticGroup([1.0, 3.0])
         assert consensus.auto_mu(g_list, 2.0) == pytest.approx(0.25)
 
     def test_rejects_flat_curvature(self):
-        class Flat(QuadraticSpeedUtility):
+        class Flat(QuadraticGroup):
             def second_derivative(self, s):
-                return 0.0
+                return np.zeros(len(self))
 
         with pytest.raises(ValueError):
-            consensus.auto_mu([Flat(1.0)], 2.0)
+            consensus.auto_mu(Flat([1.0]), 2.0)

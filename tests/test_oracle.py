@@ -3,7 +3,7 @@ import pytest
 
 from groupspeed import oracle
 from groupspeed.errors import DegenerateInput, EmptyDomainIntersection
-from groupspeed.riskmodel import fit_risk_curve, to_speed_risk
+from groupspeed.riskmodel import RiskBank, fit_risk_curve, to_speed_risk
 
 from conftest import parabola_points, random_convex_curve
 
@@ -57,20 +57,26 @@ class TestSolveCommonSpeed:
         with pytest.raises(DegenerateInput):
             oracle.solve_common_speed([])
 
+    def test_empty_bank(self):
+        with pytest.raises(DegenerateInput):
+            oracle.solve_common_speed(RiskBank([]))
+
 
 class TestSignStructure:
     def test_phi_decreasing_through_root(self, quadratic_pair):
         cert = oracle.solve_common_speed(quadratic_pair, tol=1e-10)
         delta = 1e-3
-        assert oracle._phi(quadratic_pair, cert.s_star - delta) > 0
-        assert oracle._phi(quadratic_pair, cert.s_star + delta) < 0
+        bank = RiskBank(quadratic_pair)
+        assert bank.phi(cert.s_star - delta) > 0
+        assert bank.phi(cert.s_star + delta) < 0
 
     def test_derivative_sum_identity(self, quadratic_pair):
         # sum g_i'(s) == -(1/s^2) sum d_i f_i'(d_i/s)
         lo, hi = oracle.common_speed_domain(quadratic_pair)
+        bank = RiskBank(quadratic_pair)
         for s in np.linspace(lo, hi, 200):
-            lhs = oracle.derivative_sum(quadratic_pair, s)
-            rhs = -oracle._phi(quadratic_pair, s) / s**2
+            lhs = np.sum(bank.derivative(s))
+            rhs = -bank.phi(s) / s**2
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 

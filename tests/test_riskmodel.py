@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.interpolate import CubicSpline
 
+from groupspeed import consensus, oracle
 from groupspeed import scenario as scen
 from groupspeed.errors import (
     DegenerateInput,
@@ -10,6 +11,7 @@ from groupspeed.errors import (
     NonConvexFit,
     OutOfDomain,
 )
+from groupspeed.netsim import RandomFailureTopology
 from groupspeed.riskmodel import (
     RiskBank,
     check_quasi_convexity,
@@ -339,3 +341,29 @@ class TestRiskBank:
                     ]
                     assert _raises(bank.phi, y) == any(per_agent)
         assert outcomes == {True, False}
+
+
+class TestOneGroupEvaluator:
+    """consensus and the oracle give the same answers for a list and its bank."""
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_list_and_bank_agree_exactly(self, ragged):
+        g_list = _group(ragged)
+        bank = RiskBank(g_list)
+        cert = oracle.solve_common_speed(g_list)
+        assert oracle.solve_common_speed(bank) == cert
+        mu = consensus.auto_mu(g_list, cert.s_star)
+        assert consensus.auto_mu(bank, cert.s_star) == mu
+        assert consensus.lure_stability(bank, cert.s_star, mu) == (
+            consensus.lure_stability(g_list, cert.s_star, mu)
+        )
+        config = consensus.SolverConfig(mu=mu, consensus_tol=1e-3, max_iterations=2000)
+        s0 = np.random.default_rng(4).uniform(bank.lo, bank.hi)
+        traces = [
+            consensus.run(s0, RandomFailureTopology(len(bank), 0.5, seed=6), g, config)
+            for g in (g_list, bank)
+        ]
+        assert all(t.converged for t in traces)
+        assert_array_equal(traces[0].speeds, traces[1].speeds)
+        assert traces[0].couplings == traces[1].couplings
+        assert traces[0].iterations == traces[1].iterations
