@@ -20,6 +20,7 @@ from .errors import (
 from .netsim import TopologySequence, make_topology
 from .oracle import brute_force_verify, solve_common_speed
 from .riskmodel import (
+    RiskBank,
     RiskCurve,
     SpeedRisk,
     check_quasi_convexity,

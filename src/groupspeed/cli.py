@@ -5,8 +5,10 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import scenario as scen
-from .errors import GroupSpeedError
+from .errors import GroupSpeedError, InvalidSpec
 from .riskmodel import check_quasi_convexity
 
 
@@ -83,9 +85,12 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    try:
+        mus = [float(m) for m in args.mu.split(",")]
+        seeds = [int(x) for x in args.seeds.split(",")]
+    except ValueError as exc:
+        raise InvalidSpec(f"sweep: {exc}") from exc
     s = scen.load_scenario(args.scenario)
-    mus = [float(m) for m in args.mu.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")]
     os.makedirs(args.out, exist_ok=True)
     rows = ["mu,seed,converged,iterations,final_speed,oracle_gap"]
     worst = 0
@@ -111,14 +116,11 @@ def cmd_sweep(args):
 def cmd_verify(args):
     s = scen.load_scenario(args.scenario)
     failures = []
-    g_list = s.build_risks()
-    for i, g in enumerate(g_list):
+    for i, g in enumerate(s.build_risks()):
         rep = check_quasi_convexity(g, samples=10_000, seed=s.seed + i)
         if not rep.passed:
             failures.append(f"agent {i}: quasi-convexity counterexample {rep.counterexample}")
     topology = s.build_topology()
-    import numpy as np
-
     for k in range(20):
         P = topology.build_matrix(k)
         if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:

@@ -2,9 +2,9 @@
 
 The averaging part P(k) pulls the speed vector toward agreement while the
 broadcast scalar G(s) = -mu * sum_i g_i'(s_i) steers the agreement value
-toward the aggregate optimum. Every function takes the group's risks as one
-evaluator, a `RiskBank` (a list of SpeedRisk is stacked into one), and reads
-only its per-agent derivatives, curvatures and clamp.
+toward the aggregate optimum. Speeds are plain float arrays, one per agent.
+Every function takes the group's risks as one evaluator, a `RiskBank`, and
+reads only its per-agent derivatives, curvatures and clamp.
 """
 
 import math
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
-from .riskmodel import RiskBank
 
 FORM_AGREEMENT_TOL = 1e-12
 SPREAD_BLOWUP_FACTOR = 1e3
@@ -45,12 +44,6 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
-class ConsensusState:
-    speeds: np.ndarray  # km/h, one per agent
-    iteration: int = 0
-
-
 def _speeds(bank, s):
     """s as a float array, one speed per agent of the bank."""
     s = np.asarray(s, dtype=float)
@@ -59,49 +52,41 @@ def _speeds(bank, s):
     return s
 
 
-def _derivative_sum(bank, s):
-    """sum_i g_i'(s_i), one speed per agent."""
-    return float(np.sum(bank.derivative(_speeds(bank, s))))
-
-
-def coupling(g_list, s, mu):
+def coupling(bank, s, mu):
     """G(s) = -mu * sum_i g_i'(s_i), broadcast identically to all agents."""
-    return -mu * _derivative_sum(RiskBank.of(g_list), s)
+    return -mu * float(np.sum(bank.derivative(_speeds(bank, s))))
 
 
-def step(state, P, g_list, config):
+def step(s, P, bank, config):
     """One iteration: averaging plus broadcast coupling, then domain clamp."""
-    bank = RiskBank.of(g_list)
-    s = np.asarray(state.speeds, dtype=float)
+    s = np.asarray(s, dtype=float)
     P = np.asarray(P, dtype=float)
     if P.shape != (len(s), len(s)):
-        raise DimensionMismatch(f"matrix shape {P.shape} vs state length {len(s)}")
-    return _advance(state, P, bank, coupling(bank, s, config.mu))
+        raise DimensionMismatch(f"matrix shape {P.shape} vs {len(s)} speeds")
+    return _advance(s, P, bank, coupling(bank, s, config.mu))
 
 
-def _advance(state, P, bank, G):
-    """The update itself, given the coupling G already computed for state."""
-    new = bank.clamp(P @ np.asarray(state.speeds, dtype=float) + G)
-    return ConsensusState(speeds=new, iteration=state.iteration + 1)
+def _advance(s, P, bank, G):
+    """s(k+1) = clamp(P(k) s(k) + G e), given the coupling G at s."""
+    return bank.clamp(P @ s + G)
 
 
-def step_per_agent(state, topology, k, g_list, config):
+def step_per_agent(s, topology, k, bank, config):
     """Per-agent form of the same update.
 
     Each agent applies q_i = eta * sum_{j in N}(s_j - s_i) with the equal
-    weight eta = 1/(|N|+1), then adds the broadcast -mu * derivative sum.
+    weight eta = 1/(|N|+1), then adds the broadcast coupling G.
     Must agree with the matrix form to within FORM_AGREEMENT_TOL.
     """
-    bank = RiskBank.of(g_list)
-    s = np.asarray(state.speeds, dtype=float)
-    broadcast = config.mu * _derivative_sum(bank, s)
+    s = np.asarray(s, dtype=float)
+    G = coupling(bank, s, config.mu)
     new = np.empty_like(s)
     for i in range(len(s)):
         nbrs = topology.neighbors(k, i)
         eta = 1.0 / (len(nbrs) + 1)
         q = eta * sum(s[j] - s[i] for j in nbrs)
-        new[i] = s[i] + q - broadcast
-    return ConsensusState(speeds=bank.clamp(new), iteration=state.iteration + 1)
+        new[i] = s[i] + q + G
+    return bank.clamp(new)
 
 
 @dataclass
@@ -136,14 +121,13 @@ class SimulationTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-def run(initial_speeds, topology, g_list, config):
+def run(initial_speeds, topology, bank, config):
     """Iterate until consensus + optimality or the budget runs out.
 
     Stops when max spread < consensus_tol and |sum g_i'(mean)| <
     optimality_tol. Raises NonConvergence (with the partial trace attached)
     on budget exhaustion, non-finite speeds, or spread blow-up.
     """
-    bank = RiskBank.of(g_list)
     s = bank.clamp(_speeds(bank, initial_speeds))
     if len(s) != topology.n_agents:
         raise DimensionMismatch(
@@ -151,34 +135,33 @@ def run(initial_speeds, topology, g_list, config):
         )
     trace = SimulationTrace()
     spread0 = float(np.ptp(s)) if len(s) > 1 else 1.0
-    state = ConsensusState(speeds=s, iteration=0)
 
     try:
         for k in range(config.max_iterations + 1):
-            spread = float(np.ptp(state.speeds))
-            G = coupling(bank, state.speeds, config.mu)
-            trace.speeds.append(state.speeds)
+            spread = float(np.ptp(s))
+            G = coupling(bank, s, config.mu)
+            trace.speeds.append(s)
             trace.spreads.append(spread)
             trace.couplings.append(G)
             trace.iterations = k
 
             # |sum_i g_i'| at the mean, clamped into each agent's domain
-            mean = float(np.mean(state.speeds))
+            mean = float(np.mean(s))
             residual = abs(float(np.sum(bank.derivative(bank.clamp(mean)))))
             if spread < config.consensus_tol and residual < config.optimality_tol:
                 trace.converged = True
                 return trace
             if k == config.max_iterations:
                 break
-            if not np.all(np.isfinite(state.speeds)):
+            if not np.all(np.isfinite(s)):
                 raise NonConvergence("non-finite speeds encountered", trace)
             if spread0 > 0 and spread > SPREAD_BLOWUP_FACTOR * spread0:
                 raise NonConvergence(
                     "spread blew up beyond the divergence guard", trace
                 )
 
-            topology.record_speeds(k, state.speeds)
-            state = _advance(state, topology.build_matrix(k), bank, G)
+            topology.record_speeds(k, s)
+            s = _advance(s, topology.build_matrix(k), bank, G)
     finally:
         trace.speeds = np.array(trace.speeds)
 
@@ -203,8 +186,7 @@ class StabilityReport:
     slow: bool  # |h'| within 0.05 of 1: stable but slowly contracting
 
 
-def lure_stability(g_list, y_star, mu):
-    bank = RiskBank.of(g_list)
+def lure_stability(bank, y_star, mu):
     curv = float(np.sum(bank.second_derivative(float(y_star))))
     h_prime = 1.0 - mu * curv
     interval = (0.0, 2.0 / curv) if curv > 0 else None
@@ -218,23 +200,23 @@ def lure_stability(g_list, y_star, mu):
     )
 
 
-def scalar_descent(g_list, y0, mu, n_iter):
+def scalar_descent(bank, y0, mu, n_iter):
     """Iterate the scalar agreement-direction dynamics directly (no clamping)."""
-    bank = RiskBank.of(g_list)
     ys = [float(y0)]
     y = float(y0)
     for _ in range(n_iter):
-        y = y - mu * _derivative_sum(bank, np.full(len(bank), y))
+        y = y + coupling(bank, np.full(len(bank), y), mu)
         ys.append(y)
         if not np.isfinite(y):
             break
     return ys
 
 
-def auto_mu(g_list, y_star, fraction=0.5):
+def auto_mu(bank, y_star, fraction=0.5):
     """Step gain at `fraction` of the scalar stability bound at y_star."""
-    bank = RiskBank.of(g_list)
-    curv = float(np.sum(bank.second_derivative(float(y_star))))
-    if curv <= 0:
-        raise ValueError(f"nonpositive curvature sum {curv} at y={y_star}")
-    return fraction * 2.0 / curv
+    report = lure_stability(bank, y_star, 0.0)
+    if report.mu_interval is None:
+        raise ValueError(
+            f"nonpositive curvature sum {report.curvature_sum} at y={y_star}"
+        )
+    return fraction * report.mu_interval[1]

@@ -35,6 +35,8 @@ class TopologySequence:
             raise DegenerateInput(f"n_agents must be >= 1, got {n_agents}")
         self.n_agents = int(n_agents)
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DegenerateInput(f"seed must be >= 0, got {seed}")
 
     def edges(self, k):
         """The links of iteration k as index arrays (src, dst): dst hears src.
@@ -212,7 +214,17 @@ class ProximityTopology(TopologySequence):
 
 
 def make_topology(spec, n_agents, seed=0):
-    """Build a TopologySequence from a scenario topology spec dict."""
+    """Build a TopologySequence from a scenario topology spec dict.
+
+    Raises InvalidSpec for an unknown model and for any malformed value.
+    """
+    try:
+        return _build_topology(spec, n_agents, seed)
+    except (DegenerateInput, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"topology: {exc}") from exc
+
+
+def _build_topology(spec, n_agents, seed):
     model = spec.get("model")
     if model == "complete":
         return CompleteTopology(n_agents, seed=seed)

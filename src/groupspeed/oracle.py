@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, EmptyDomainIntersection
-from .riskmodel import RiskBank
 
 # Grid points per evaluation pass. Temporaries of 10^5 floats make the C
 # allocator return and re-fault memory on every call, about 3x the work.
@@ -29,8 +28,7 @@ class OptimalityCertificate:
     at_boundary: bool = False  # optimum clipped by the common speed domain
 
 
-def common_speed_domain(g_list):
-    bank = RiskBank.of(g_list)
+def common_speed_domain(bank):
     lo, hi = float(np.max(bank.lo)), float(np.min(bank.hi))
     if lo >= hi:
         raise EmptyDomainIntersection(
@@ -39,13 +37,12 @@ def common_speed_domain(g_list):
     return lo, hi
 
 
-def solve_common_speed(g_list, tol=1e-8):
+def solve_common_speed(bank, tol=1e-8):
     """Bisection root of phi on the common speed domain.
 
     When phi does not change sign the optimum sits on a domain boundary; the
     certificate then carries the better endpoint with `at_boundary` set.
     """
-    bank = RiskBank.of(g_list)
     if len(bank) == 0:
         raise DegenerateInput("empty agent list")
     lo, hi = common_speed_domain(bank)
@@ -91,7 +88,7 @@ class BruteForceReport:
     offset: float  # |grid_argmin - s_star|
 
 
-def brute_force_verify(g_list, s_star, grid=100_000):
+def brute_force_verify(bank, s_star, grid=100_000):
     """Grid-scan the summed objective and compare its argmin with s_star.
 
     Passes when the grid argmin lies within one grid step of s_star, i.e.
@@ -99,12 +96,12 @@ def brute_force_verify(g_list, s_star, grid=100_000):
     """
     if grid < 1000:
         raise DegenerateInput(f"grid must be >= 1000, got {grid}")
-    lo, hi = common_speed_domain(g_list)
+    lo, hi = common_speed_domain(bank)
     s = np.linspace(lo, hi, grid)
     total = np.zeros(grid)
     for a in range(0, grid, GRID_BLOCK):
         block = slice(a, a + GRID_BLOCK)
-        for g in g_list:
+        for g in bank:  # a curve's searchsorted beats the bank's stacked lookup
             total[block] += np.asarray(g.value(s[block]), dtype=float)
     argmin = float(s[int(np.argmin(total))])
     step = (hi - lo) / (grid - 1)

@@ -73,9 +73,6 @@ class RiskCurve:
     def second_derivative(self, t):
         return self._eval(t, 2)
 
-    def to_speed_risk(self, distance):
-        return to_speed_risk(self, distance)
-
 
 @dataclass(frozen=True)
 class SpeedRisk:
@@ -143,11 +140,13 @@ class RiskBank:
     Evaluates with the same arithmetic as the per-agent SpeedRisk methods and
     raises OutOfDomain for the same inputs. Curves with fewer knots than the
     longest are padded with interior knots at +inf, which no time reaches.
+    The SpeedRisks themselves stay available in agent order: bank[i].
     """
 
-    def __init__(self, g_list):
-        curves = [g.base for g in g_list]
-        self.distance = np.array([g.distance for g in g_list], dtype=float)
+    def __init__(self, risks):
+        self._risks = tuple(risks)
+        curves = [g.base for g in self._risks]
+        self.distance = np.array([g.distance for g in self._risks], dtype=float)
         self.t_lo, self.t_hi = np.array([c.domain for c in curves]).reshape(-1, 2).T
         self.lo, self.hi = self.distance / self.t_hi, self.distance / self.t_lo
         pieces = max((len(c._knots) - 1 for c in curves), default=1)
@@ -164,17 +163,11 @@ class RiskBank:
         self._coef = coef.reshape(4, -1)
         self._first = np.arange(len(curves)) * pieces  # flat index of piece 0
 
-    @classmethod
-    def of(cls, group):
-        """A new bank of a list or tuple of SpeedRisk; any other group unchanged.
-
-        A group passed through is a RiskBank, or an object with its len,
-        derivative, second_derivative and clamp, such as a test double.
-        """
-        return cls(group) if isinstance(group, (list, tuple)) else group
-
     def __len__(self):
-        return len(self.distance)
+        return len(self._risks)
+
+    def __getitem__(self, i):
+        return self._risks[i]
 
     def _f(self, t, nu):
         """nu-th derivative of each agent's f_i at its own travel time t_i."""

@@ -7,13 +7,14 @@ sampled quantity so that saving and reloading reproduces runs byte for byte.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import consensus, netsim, oracle, svgchart
 from .errors import InvalidSpec, NonConvergence
-from .riskmodel import RiskBank, fit_risk_curve
+from .riskmodel import RiskBank, fit_risk_curve, to_speed_risk
 
 SCHEMA_VERSION = 1
 
@@ -96,10 +97,11 @@ class Scenario:
             fh.write("\n")
 
     def build_risks(self):
-        return [
-            fit_risk_curve(pts).to_speed_risk(d)
+        """The group's RiskBank of fitted SpeedRisks, in agent order."""
+        return RiskBank(
+            to_speed_risk(fit_risk_curve(pts), d)
             for pts, d in zip(self.control_points, self.distances)
-        ]
+        )
 
     def build_topology(self):
         seed = self.topology.get("seed", self.seed)
@@ -200,7 +202,10 @@ class ExperimentReport:
     certificate: oracle.OptimalityCertificate
     mu: float
     ergodicity: netsim.ErgodicityReport
-    converged: bool
+
+    @property
+    def converged(self):
+        return self.trace.converged
 
     @property
     def final_speed(self):
@@ -231,8 +236,7 @@ class ExperimentReport:
 
 def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
     """Run consensus plus the oracle, emit trace/plots, return a report."""
-    g_list = scenario.build_risks()
-    bank = RiskBank(g_list)
+    bank = scenario.build_risks()
     topology = scenario.build_topology()
     certificate = oracle.solve_common_speed(bank, tol=1e-8)
 
@@ -266,17 +270,14 @@ def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
         certificate=certificate,
         mu=mu,
         ergodicity=ergodicity,
-        converged=trace.converged,
     )
 
     if out_dir is not None:
-        _emit_artifacts(report, g_list, topology, out_dir, dump_matrices)
+        _emit_artifacts(report, bank, topology, out_dir, dump_matrices)
     return report
 
 
-def _emit_artifacts(report, g_list, topology, out_dir, dump_matrices):
-    import os
-
+def _emit_artifacts(report, bank, topology, out_dir, dump_matrices):
     os.makedirs(out_dir, exist_ok=True)
     trace = report.trace
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
@@ -295,7 +296,7 @@ def _emit_artifacts(report, g_list, topology, out_dir, dump_matrices):
     )
 
     time_series, speed_risk_series = [], []
-    for i, g in enumerate(g_list):
+    for g in bank:
         t_lo, t_hi = g.base.domain
         ts = np.linspace(t_lo, t_hi, 200)
         time_series.append(("", list(ts), list(g.base.value(ts))))

@@ -18,7 +18,12 @@ from groupspeed.netsim import (
     LeaderStarTopology,
     RandomFailureTopology,
 )
-from groupspeed.riskmodel import check_quasi_convexity, fit_risk_curve, to_speed_risk
+from groupspeed.riskmodel import (
+    RiskBank,
+    check_quasi_convexity,
+    fit_risk_curve,
+    to_speed_risk,
+)
 
 from conftest import QuadraticGroup, parabola_points, random_convex_curve
 
@@ -90,7 +95,7 @@ def test_criterion_3_oracle_self_consistency():
 
 def test_criterion_4_closed_form_quadratic():
     curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-    g_list = [to_speed_risk(curve, 2.0), to_speed_risk(curve, 3.0)]
+    g_list = RiskBank([to_speed_risk(curve, 2.0), to_speed_risk(curve, 3.0)])
     cert = oracle.solve_common_speed(g_list, tol=1e-10)
 
     config = consensus.SolverConfig(
@@ -151,19 +156,20 @@ def test_criterion_6_matrix_suite():
         assert np.all(np.diag(P) > 0)
 
     curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-    g_list = [to_speed_risk(curve, float(d)) for d in rng.uniform(1.5, 3.0, 8)]
+    g_list = RiskBank(
+        [to_speed_risk(curve, float(d)) for d in rng.uniform(1.5, 3.0, 8)]
+    )
     config = consensus.SolverConfig(mu=0.05, consensus_tol=1e-6,
                                     optimality_tol=1e-6, max_iterations=10)
     worst = 0.0
     for trial in range(100):
         top = RandomFailureTopology(8, 0.5, seed=trial)
         speeds = np.array([rng.uniform(*g.speed_domain) for g in g_list])
-        state = consensus.ConsensusState(speeds=speeds)
         k = int(rng.integers(0, 100))
-        a = consensus.step(state, top.build_matrix(k), g_list, config)
-        b = consensus.step_per_agent(state, top, k, g_list, config)
-        worst = max(worst, float(np.max(np.abs(a.speeds - b.speeds))))
-    ok = worst < 1e-12
+        a = consensus.step(speeds, top.build_matrix(k), g_list, config)
+        b = consensus.step_per_agent(speeds, top, k, g_list, config)
+        worst = max(worst, float(np.max(np.abs(a - b))))
+    ok = worst < consensus.FORM_AGREEMENT_TOL
     _report(6, "matrix suite", ok,
             f"10^3 matrices OK; form disagreement max {worst:.2e}")
 

@@ -135,6 +135,22 @@ class TestBadInput:
             ("n_agents", "x"),
             ("seed", "x"),
             ("seed", -1),
+            pytest.param(
+                "topology",
+                {"model": "random_failure", "link_up_probability": 0.5, "seed": -1},
+                id="topology-seed--1",
+            ),
+            pytest.param(
+                "topology",
+                {"model": "random_failure", "link_up_probability": "x"},
+                id="topology-link_up_probability-x",
+            ),
+            pytest.param(
+                "topology", {"model": "proximity", "radius": "x"}, id="topology-radius-x"
+            ),
+            pytest.param(
+                "topology", {"model": "fixed", "edges": [[0, "a"]]}, id="topology-edges-a"
+            ),
         ],
     )
     def test_bad_value(self, tmp_path, capsys, field, value):
@@ -151,6 +167,13 @@ class TestBadInput:
              "--out", str(tmp_path), "--mu", "0"]
         )
         assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "x"), ("--seeds", "y")])
+    def test_sweep_unparsable_list(self, tmp_path, capsys, flag, value):
+        args = ["sweep", "--scenario", str(SCENARIOS / "low_pollution.json"),
+                "--out", str(tmp_path), "--mu", "5.0"]
+        assert main(args + [flag, value]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):

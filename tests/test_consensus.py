@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from groupspeed import consensus
-from groupspeed.consensus import ConsensusState, SolverConfig
+from groupspeed.consensus import FORM_AGREEMENT_TOL, SolverConfig
 from groupspeed.errors import DimensionMismatch, NonConvergence
 from groupspeed.netsim import CompleteTopology, FixedTopology, RandomFailureTopology
 from groupspeed.riskmodel import RiskBank, fit_risk_curve, to_speed_risk
@@ -19,7 +19,7 @@ def _config(mu=0.1, **kw):
 class TestCoupling:
     def test_zero_at_individual_minimizers(self):
         curve = fit_risk_curve(parabola_points())
-        g_list = [to_speed_risk(curve, d) for d in (1.0, 2.0, 3.0)]
+        g_list = RiskBank([to_speed_risk(curve, d) for d in (1.0, 2.0, 3.0)])
         s = [g.minimizer for g in g_list]
         assert consensus.coupling(g_list, s, mu=0.2) == pytest.approx(
             0.0, abs=3e-8
@@ -48,32 +48,27 @@ class TestCoupling:
 class TestStep:
     def test_fixed_point_identity_matrix(self):
         g_list = QuadraticGroup([2.0, 5.0])
-        state = ConsensusState(speeds=np.array([2.0, 5.0]))
-        out = consensus.step(state, np.eye(2), g_list, _config())
-        np.testing.assert_allclose(out.speeds, [2.0, 5.0], atol=1e-15)
-        assert out.iteration == 1
+        out = consensus.step(np.array([2.0, 5.0]), np.eye(2), g_list, _config())
+        np.testing.assert_allclose(out, [2.0, 5.0], atol=1e-15)
 
     def test_hand_computed_two_agent_step(self):
         g_list = QuadraticGroup([2.0, 2.0])
-        state = ConsensusState(speeds=np.array([1.0, 3.0]))
         P = np.full((2, 2), 0.5)
-        out = consensus.step(state, P, g_list, _config(mu=0.1))
+        out = consensus.step(np.array([1.0, 3.0]), P, g_list, _config(mu=0.1))
         # Ps = (2, 2); G = -0.1 (2(1-2) + 2(3-2)) = 0
-        np.testing.assert_allclose(out.speeds, [2.0, 2.0], atol=1e-15)
+        np.testing.assert_allclose(out, [2.0, 2.0], atol=1e-15)
 
     def test_consensus_optimum_is_equilibrium(self):
         g_list = QuadraticGroup([1.0, 3.0])
         # sum g_i'(2) = 2(2-1) + 2(2-3) = 0
-        state = ConsensusState(speeds=np.array([2.0, 2.0]))
         P = np.full((2, 2), 0.5)
-        out = consensus.step(state, P, g_list, _config(mu=0.3))
-        np.testing.assert_allclose(out.speeds, [2.0, 2.0], atol=1e-15)
+        out = consensus.step(np.array([2.0, 2.0]), P, g_list, _config(mu=0.3))
+        np.testing.assert_allclose(out, [2.0, 2.0], atol=1e-15)
 
     def test_dimension_mismatch(self):
         g_list = QuadraticGroup([1.0])
-        state = ConsensusState(speeds=np.array([1.0]))
         with pytest.raises(DimensionMismatch):
-            consensus.step(state, np.eye(2), g_list, _config())
+            consensus.step(np.array([1.0]), np.eye(2), g_list, _config())
 
 
 class TestFormEquivalence:
@@ -82,18 +77,19 @@ class TestFormEquivalence:
     def test_random_states_and_topologies(self):
         rng = np.random.default_rng(17)
         curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-        g_list = [to_speed_risk(curve, float(d)) for d in rng.uniform(1.5, 3.0, 6)]
+        g_list = RiskBank(
+            [to_speed_risk(curve, float(d)) for d in rng.uniform(1.5, 3.0, 6)]
+        )
         config = _config(mu=0.05)
         for trial in range(100):
             top = RandomFailureTopology(6, 0.6, seed=trial)
             speeds = np.array(
                 [rng.uniform(*g.speed_domain) for g in g_list]
             )
-            state = ConsensusState(speeds=speeds)
             k = int(rng.integers(0, 50))
-            a = consensus.step(state, top.build_matrix(k), g_list, config)
-            b = consensus.step_per_agent(state, top, k, g_list, config)
-            np.testing.assert_allclose(a.speeds, b.speeds, atol=1e-12)
+            a = consensus.step(speeds, top.build_matrix(k), g_list, config)
+            b = consensus.step_per_agent(speeds, top, k, g_list, config)
+            np.testing.assert_allclose(a, b, atol=FORM_AGREEMENT_TOL)
 
 
 class TestRun:
@@ -108,7 +104,7 @@ class TestRun:
     def test_single_agent_scalar_descent(self):
         curve = fit_risk_curve(parabola_points())
         g = to_speed_risk(curve, 2.0)
-        trace = consensus.run([3.5], CompleteTopology(1), [g],
+        trace = consensus.run([3.5], CompleteTopology(1), RiskBank([g]),
                               _config(mu=1.0, max_iterations=200))
         assert trace.converged
         assert trace.final_common_speed == pytest.approx(2.0, abs=1e-4)
@@ -137,18 +133,17 @@ class TestRun:
         rng = np.random.default_rng(3)
         g_list = QuadraticGroup([2.0] * 5)
         speeds = rng.uniform(0.0, 10.0, 5)
-        state = ConsensusState(speeds=speeds)
         top = CompleteTopology(5)
         config = _config(mu=1e-300)  # effectively G = 0
-        spreads = [float(np.ptp(state.speeds))]
+        spreads = [float(np.ptp(speeds))]
         for k in range(10):
-            state = consensus.step(state, top.build_matrix(k), g_list, config)
-            spreads.append(float(np.ptp(state.speeds)))
+            speeds = consensus.step(speeds, top.build_matrix(k), g_list, config)
+            spreads.append(float(np.ptp(speeds)))
         assert all(b <= a + 1e-12 for a, b in zip(spreads, spreads[1:]))
 
     def test_determinism_bitwise(self):
         curve = fit_risk_curve(parabola_points())
-        g_list = [to_speed_risk(curve, d) for d in (1.8, 2.0, 2.2)]
+        g_list = RiskBank([to_speed_risk(curve, d) for d in (1.8, 2.0, 2.2)])
         config = _config(mu=0.5, consensus_tol=1e-6, optimality_tol=1e-6)
         runs = []
         for _ in range(2):

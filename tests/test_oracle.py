@@ -12,7 +12,7 @@ from conftest import parabola_points, random_convex_curve
 def quadratic_pair():
     """Two agents with f_i(t) = (t-1)^2 + 1, d = (2, 3); s* = 13/5 closed form."""
     curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-    return [to_speed_risk(curve, 2.0), to_speed_risk(curve, 3.0)]
+    return RiskBank([to_speed_risk(curve, 2.0), to_speed_risk(curve, 3.0)])
 
 
 class TestSolveCommonSpeed:
@@ -30,26 +30,27 @@ class TestSolveCommonSpeed:
 
     def test_identical_agents(self):
         curve = fit_risk_curve(parabola_points())
-        g_list = [to_speed_risk(curve, 2.0)] * 5
+        g_list = RiskBank([to_speed_risk(curve, 2.0)] * 5)
         cert = oracle.solve_common_speed(g_list, tol=1e-10)
         assert cert.s_star == pytest.approx(2.0 / curve.tipping_point, abs=1e-6)
 
     def test_single_agent(self):
         curve = fit_risk_curve(parabola_points())
-        cert = oracle.solve_common_speed([to_speed_risk(curve, 3.0)], tol=1e-10)
+        bank = RiskBank([to_speed_risk(curve, 3.0)])
+        cert = oracle.solve_common_speed(bank, tol=1e-10)
         assert cert.s_star == pytest.approx(3.0 / curve.tipping_point, abs=1e-6)
 
     def test_boundary_optimum_flagged(self):
         # common domain [7.5, 8] clips the unconstrained root 229/17 ~ 13.5
         curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-        g_list = [to_speed_risk(curve, 2.0), to_speed_risk(curve, 15.0)]
+        g_list = RiskBank([to_speed_risk(curve, 2.0), to_speed_risk(curve, 15.0)])
         cert = oracle.solve_common_speed(g_list)
         assert cert.at_boundary
         assert cert.s_star == pytest.approx(8.0, rel=1e-12)
 
     def test_empty_domain_intersection(self):
         curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-        g_list = [to_speed_risk(curve, 2.0), to_speed_risk(curve, 30.0)]
+        g_list = RiskBank([to_speed_risk(curve, 2.0), to_speed_risk(curve, 30.0)])
         with pytest.raises(EmptyDomainIntersection):
             oracle.solve_common_speed(g_list)
 
@@ -66,14 +67,14 @@ class TestSignStructure:
     def test_phi_decreasing_through_root(self, quadratic_pair):
         cert = oracle.solve_common_speed(quadratic_pair, tol=1e-10)
         delta = 1e-3
-        bank = RiskBank(quadratic_pair)
+        bank = quadratic_pair
         assert bank.phi(cert.s_star - delta) > 0
         assert bank.phi(cert.s_star + delta) < 0
 
     def test_derivative_sum_identity(self, quadratic_pair):
         # sum g_i'(s) == -(1/s^2) sum d_i f_i'(d_i/s)
-        lo, hi = oracle.common_speed_domain(quadratic_pair)
-        bank = RiskBank(quadratic_pair)
+        bank = quadratic_pair
+        lo, hi = oracle.common_speed_domain(bank)
         for s in np.linspace(lo, hi, 200):
             lhs = np.sum(bank.derivative(s))
             rhs = -bank.phi(s) / s**2
@@ -89,17 +90,17 @@ class TestBruteForceVerify:
 
     def test_symmetric_case(self):
         curve = fit_risk_curve(parabola_points())
-        g_list = [to_speed_risk(curve, 2.0)] * 3
+        g_list = RiskBank([to_speed_risk(curve, 2.0)] * 3)
         report = oracle.brute_force_verify(g_list, 2.0 / curve.tipping_point)
         assert report.passed
 
     def test_random_curves_agree(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
-            g_list = [
+            g_list = RiskBank(
                 to_speed_risk(random_convex_curve(rng), float(rng.uniform(1.5, 3.0)))
                 for _ in range(4)
-            ]
+            )
             cert = oracle.solve_common_speed(g_list, tol=1e-9)
             if cert.at_boundary:
                 continue

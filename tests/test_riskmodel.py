@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.interpolate import CubicSpline
 
-from groupspeed import consensus, oracle
 from groupspeed import scenario as scen
 from groupspeed.errors import (
     DegenerateInput,
@@ -11,7 +10,6 @@ from groupspeed.errors import (
     NonConvexFit,
     OutOfDomain,
 )
-from groupspeed.netsim import RandomFailureTopology
 from groupspeed.riskmodel import (
     RiskBank,
     check_quasi_convexity,
@@ -272,14 +270,19 @@ class TestQuasiConvexity:
             check_quasi_convexity(g, samples=2)
 
 
-def _group(ragged):
-    """A scenario's risks: shipped 10-point curves, or 4-12 points per agent."""
+def _group_spec(ragged):
+    """25 agents: shipped 10-point curves, or 4-12 points per agent."""
     spec = scen.BUILTIN_SPECS["high_pollution"] | {"n_agents": 25}
     if ragged:
         rng = np.random.default_rng(8)
         curves = [convex_points(rng, m).tolist() for m in rng.integers(4, 13, 25)]
         spec = spec | {"curves": {"per_agent_control_points": curves}}
-    return scen.generate_scenario(spec).build_risks()
+    return spec
+
+
+def _group(ragged):
+    """A scenario's risks, as the bank `build_risks` gives."""
+    return scen.generate_scenario(_group_spec(ragged)).build_risks()
 
 
 def _raises(f, x):
@@ -293,36 +296,34 @@ def _raises(f, x):
 class TestRiskBank:
     @pytest.mark.parametrize("ragged", [False, True])
     def test_equals_per_agent_methods(self, ragged):
-        g_list = _group(ragged)
-        bank = RiskBank(g_list)
+        bank = _group(ragged)
         rng = np.random.default_rng(9)
         for _ in range(50):
             s = rng.uniform(bank.lo, bank.hi)
             assert_array_equal(
-                bank.derivative(s), [g.derivative(x) for g, x in zip(g_list, s)]
+                bank.derivative(s), [g.derivative(x) for g, x in zip(bank, s)]
             )
             assert_array_equal(
                 bank.second_derivative(s),
-                [g.second_derivative(x) for g, x in zip(g_list, s)],
+                [g.second_derivative(x) for g, x in zip(bank, s)],
             )
             wide = rng.uniform(bank.lo - 5.0, bank.hi + 5.0)
             assert_array_equal(
-                bank.clamp(wide), [g.clamp(x) for g, x in zip(g_list, wide)]
+                bank.clamp(wide), [g.clamp(x) for g, x in zip(bank, wide)]
             )
         for y in np.linspace(np.max(bank.lo), np.min(bank.hi), 50):
-            assert_array_equal(bank.derivative(y), [g.derivative(y) for g in g_list])
+            assert_array_equal(bank.derivative(y), [g.derivative(y) for g in bank])
             assert_array_equal(
-                bank.second_derivative(y), [g.second_derivative(y) for g in g_list]
+                bank.second_derivative(y), [g.second_derivative(y) for g in bank]
             )
-            terms = [g.distance * g.base.derivative(g.distance / y) for g in g_list]
+            terms = [g.distance * g.base.derivative(g.distance / y) for g in bank]
             assert bank.phi(y) == np.sum(terms)
 
     def test_out_of_domain_exactly_where_per_agent_raises(self):
-        g_list = _group(ragged=True)
-        bank = RiskBank(g_list)
+        bank = _group(ragged=True)
         mid = 0.5 * (bank.lo + bank.hi)
         outcomes = set()
-        for i, g in enumerate(g_list):
+        for i, g in enumerate(bank):
             for edge, side in ((bank.lo[i], -1.0), (bank.hi[i], 1.0)):
                 for offset in (0.0, 0.5e-12, 2e-12, 1e-6):
                     s = mid.copy()
@@ -332,38 +333,27 @@ class TestRiskBank:
                         assert raised == _raises(getattr(g, method), s[i])
                         outcomes.add(raised)
                     raised = _raises(bank.derivative, s[i])
-                    assert raised == any(_raises(h.derivative, s[i]) for h in g_list)
+                    assert raised == any(_raises(h.derivative, s[i]) for h in bank)
             for t in g.base.domain:
                 for offset in (-2e-12, -0.5e-12, 0.0, 0.5e-12, 2e-12):
                     y = g.distance / (t + offset)
                     per_agent = [
-                        _raises(h.base.derivative, h.distance / y) for h in g_list
+                        _raises(h.base.derivative, h.distance / y) for h in bank
                     ]
                     assert _raises(bank.phi, y) == any(per_agent)
         assert outcomes == {True, False}
 
 
-class TestOneGroupEvaluator:
-    """consensus and the oracle give the same answers for a list and its bank."""
-
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_list_and_bank_agree_exactly(self, ragged):
-        g_list = _group(ragged)
-        bank = RiskBank(g_list)
-        cert = oracle.solve_common_speed(g_list)
-        assert oracle.solve_common_speed(bank) == cert
-        mu = consensus.auto_mu(g_list, cert.s_star)
-        assert consensus.auto_mu(bank, cert.s_star) == mu
-        assert consensus.lure_stability(bank, cert.s_star, mu) == (
-            consensus.lure_stability(g_list, cert.s_star, mu)
-        )
-        config = consensus.SolverConfig(mu=mu, consensus_tol=1e-3, max_iterations=2000)
-        s0 = np.random.default_rng(4).uniform(bank.lo, bank.hi)
-        traces = [
-            consensus.run(s0, RandomFailureTopology(len(bank), 0.5, seed=6), g, config)
-            for g in (g_list, bank)
+class TestBuildRisks:
+    def test_bank_of_fitted_speed_risks_in_agent_order(self):
+        scenario = scen.generate_scenario(_group_spec(ragged=True))
+        bank = scenario.build_risks()
+        assert isinstance(bank, RiskBank)
+        expected = [
+            to_speed_risk(fit_risk_curve(pts), d)
+            for pts, d in zip(scenario.control_points, scenario.distances)
         ]
-        assert all(t.converged for t in traces)
-        assert_array_equal(traces[0].speeds, traces[1].speeds)
-        assert traces[0].couplings == traces[1].couplings
-        assert traces[0].iterations == traces[1].iterations
+        assert len(bank) == len(expected) == 25
+        assert [bank[i] for i in range(len(bank))] == expected
+        assert list(bank) == expected
+        assert_array_equal(bank.distance, scenario.distances)
