@@ -13,7 +13,6 @@ from .errors import (
     GroupSpeedError,
     InteriorMinimumMissing,
     InvalidSpec,
-    NonConvergence,
     NonConvexFit,
     OutOfDomain,
 )

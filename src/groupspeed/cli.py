@@ -70,12 +70,18 @@ def cmd_generate(args):
     return 0
 
 
-def cmd_run(args):
+def _load_scenario(args):
+    """The scenario file, regenerated under --seed when one is given."""
     s = scen.load_scenario(args.scenario)
-    if args.seed is not None:
-        spec = s.to_dict()
-        spec["seed"] = args.seed
-        s = scen.generate_scenario(spec)
+    if args.seed is None:
+        return s
+    spec = s.to_dict()
+    spec["seed"] = args.seed
+    return scen.generate_scenario(spec)
+
+
+def cmd_run(args):
+    s = _load_scenario(args)
     report = scen.run_experiment(
         s, out_dir=args.out, dump_matrices=args.dump_matrices, max_iters=args.max_iters
     )
@@ -114,7 +120,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    s = scen.load_scenario(args.scenario)
+    s = _load_scenario(args)
     failures = []
     for i, g in enumerate(s.build_risks()):
         rep = check_quasi_convexity(g, samples=10_000, seed=s.seed + i)

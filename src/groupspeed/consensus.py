@@ -9,14 +9,14 @@ reads only its per-agent derivatives, curvatures and clamp.
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence
+from .errors import DimensionMismatch
 
 FORM_AGREEMENT_TOL = 1e-12
-SPREAD_BLOWUP_FACTOR = 1e3
+CONVERGED = "converged"  # the stop reason of a run that converged
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,22 @@ def step_per_agent(s, topology, k, bank, config):
     return bank.clamp(new)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationTrace:
-    """Per-iteration record of a consensus run."""
+    """Record of a consensus run, one row per iteration k = 0..iterations."""
 
-    # one row per iteration, k=0 first; an (iterations + 1, n) array once run ends
-    speeds: list = field(default_factory=list)
-    spreads: list = field(default_factory=list)
-    couplings: list = field(default_factory=list)
-    converged: bool = False
-    iterations: int = 0
+    speeds: np.ndarray  # (iterations + 1, n)
+    spreads: list
+    couplings: list
+    stop_reason: str  # CONVERGED, or why the run stopped without converging
+
+    @property
+    def iterations(self):
+        return len(self.speeds) - 1
+
+    @property
+    def converged(self):
+        return self.stop_reason == CONVERGED
 
     @property
     def final_speeds(self):
@@ -122,52 +128,38 @@ class SimulationTrace:
 
 
 def run(initial_speeds, topology, bank, config):
-    """Iterate until consensus + optimality or the budget runs out.
+    """Iterate until consensus + optimality, the budget or a non-finite speed.
 
-    Stops when max spread < consensus_tol and |sum g_i'(mean)| <
-    optimality_tol. Raises NonConvergence (with the partial trace attached)
-    on budget exhaustion, non-finite speeds, or spread blow-up.
+    Converged means max spread < consensus_tol and |sum g_i'(mean)| <
+    optimality_tol. The returned trace's stop_reason says which ending it was.
     """
     s = bank.clamp(_speeds(bank, initial_speeds))
     if len(s) != topology.n_agents:
         raise DimensionMismatch(
             f"{len(s)} initial speeds for {topology.n_agents} agents"
         )
-    trace = SimulationTrace()
-    spread0 = float(np.ptp(s)) if len(s) > 1 else 1.0
+    speeds, spreads, couplings = [], [], []
+    for k in range(config.max_iterations + 1):
+        spread = float(np.ptp(s))
+        G = coupling(bank, s, config.mu)
+        speeds.append(s)
+        spreads.append(spread)
+        couplings.append(G)
 
-    try:
-        for k in range(config.max_iterations + 1):
-            spread = float(np.ptp(s))
-            G = coupling(bank, s, config.mu)
-            trace.speeds.append(s)
-            trace.spreads.append(spread)
-            trace.couplings.append(G)
-            trace.iterations = k
-
-            # |sum_i g_i'| at the mean, clamped into each agent's domain
-            mean = float(np.mean(s))
-            residual = abs(float(np.sum(bank.derivative(bank.clamp(mean)))))
-            if spread < config.consensus_tol and residual < config.optimality_tol:
-                trace.converged = True
-                return trace
-            if k == config.max_iterations:
-                break
-            if not np.all(np.isfinite(s)):
-                raise NonConvergence("non-finite speeds encountered", trace)
-            if spread0 > 0 and spread > SPREAD_BLOWUP_FACTOR * spread0:
-                raise NonConvergence(
-                    "spread blew up beyond the divergence guard", trace
-                )
-
+        # |sum_i g_i'| at the mean, clamped into each agent's domain
+        mean = float(np.mean(s))
+        residual = abs(float(np.sum(bank.derivative(bank.clamp(mean)))))
+        if spread < config.consensus_tol and residual < config.optimality_tol:
+            reason = CONVERGED
+        elif k == config.max_iterations:
+            reason = f"no convergence within {config.max_iterations} iterations"
+        elif not np.all(np.isfinite(s)):
+            reason = "non-finite speeds encountered"
+        else:
             topology.record_speeds(k, s)
             s = _advance(s, topology.build_matrix(k), bank, G)
-    finally:
-        trace.speeds = np.array(trace.speeds)
-
-    raise NonConvergence(
-        f"no convergence within {config.max_iterations} iterations", trace
-    )
+            continue
+        return SimulationTrace(np.array(speeds), spreads, couplings, reason)
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,6 @@ class DimensionMismatch(GroupSpeedError):
     """Vector/matrix dimensions disagree."""
 
 
-class NonConvergence(GroupSpeedError):
-    """Iteration budget exhausted or iterates diverged.
-
-    Carries the partial trace so callers can inspect it.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
 class EmptyDomainIntersection(GroupSpeedError):
     """Agents' speed domains share no common interval."""
 

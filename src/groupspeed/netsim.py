@@ -6,6 +6,8 @@ per in-neighbor, strictly positive diagonal) and the ergodicity check read them.
 """
 
 import bisect
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ class TopologySequence:
         if n_agents < 1:
             raise DegenerateInput(f"n_agents must be >= 1, got {n_agents}")
         self.n_agents = int(n_agents)
-        self.seed = int(seed)
+        self.seed = operator.index(seed)
         if self.seed < 0:
             raise DegenerateInput(f"seed must be >= 0, got {seed}")
 
@@ -58,7 +60,10 @@ class TopologySequence:
 
     def _pairs(self, edges):
         """Validated (m, 2) index array of an edge list."""
-        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        pairs = np.asarray(edges)
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise DegenerateInput(f"edges must be integer index pairs, got {pairs.dtype}")
+        pairs = pairs.astype(np.intp, copy=False).reshape(-1, 2)
         outside = np.any((pairs < 0) | (pairs >= self.n_agents), axis=1)
         bad = outside | (pairs[:, 0] == pairs[:, 1])
         if np.any(bad):
@@ -124,6 +129,8 @@ class FixedTopology(TopologySequence):
 
     def __init__(self, n_agents, edges, directed=False, seed=0):
         super().__init__(n_agents, seed)
+        if not isinstance(directed, bool):
+            raise DegenerateInput(f"directed must be true or false, got {directed!r}")
         pairs = self._pairs(edges)
         if not directed:
             pairs = np.concatenate([pairs, pairs[:, ::-1]])
@@ -182,8 +189,11 @@ class ProximityTopology(TopologySequence):
 
     def __init__(self, n_agents, radius=0.05, route_span=0.5, dt_hours=1.0 / 360.0, seed=0):
         super().__init__(n_agents, seed)
-        if radius <= 0:
-            raise DegenerateInput(f"radius must be positive, got {radius}")
+        for name, value in (("radius", radius), ("dt_hours", dt_hours)):
+            if not (math.isfinite(value) and value > 0):
+                raise DegenerateInput(f"{name} must be finite and > 0, got {value}")
+        if not math.isfinite(route_span):
+            raise DegenerateInput(f"route_span must be finite, got {route_span}")
         rng = np.random.default_rng(seed)
         self.radius = float(radius)
         self.dt_hours = float(dt_hours)

@@ -7,13 +7,15 @@ sampled quantity so that saving and reloading reproduces runs byte for byte.
 """
 
 import json
+import math
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import consensus, netsim, oracle, svgchart
-from .errors import InvalidSpec, NonConvergence
+from .errors import InvalidSpec
 from .riskmodel import RiskBank, fit_risk_curve, to_speed_risk
 
 SCHEMA_VERSION = 1
@@ -121,8 +123,8 @@ def generate_scenario(spec):
             f"unsupported schema_version {spec.get('schema_version')!r}"
         )
     try:
-        n = int(spec["n_agents"])
-        seed = int(spec["seed"])
+        n = operator.index(spec["n_agents"])
+        seed = operator.index(spec["seed"])
         curves = spec["curves"]
         distances = spec["distances"]
         speeds = spec["initial_speeds"]
@@ -159,6 +161,8 @@ def generate_scenario(spec):
     else:
         raise InvalidSpec("curves must give base_control_points or per_agent_control_points")
 
+    if not all(np.isfinite(pts).all() for pts in cp):
+        raise InvalidSpec("control points must be finite")
     cp = [pts[np.lexsort(pts.T[::-1])] for pts in cp]  # by time, then risk
     dist = _materialize(rng, distances, n, "distances")
     init = _materialize(rng, speeds, n, "initial_speeds")
@@ -180,10 +184,12 @@ def _materialize(rng, field_spec, n, name):
         vals = np.array([float(v) for v in field_spec["values"]])
         if len(vals) != n:
             raise InvalidSpec(f"{name}: {len(vals)} values for {n} agents")
+        if not np.isfinite(vals).all():
+            raise InvalidSpec(f"{name}: values must be finite")
         return vals
     if "uniform" in field_spec:
         lo, hi = field_spec["uniform"]
-        if not lo < hi or lo <= 0:
+        if not 0 < lo < hi < math.inf:
             raise InvalidSpec(f"{name}: bad uniform range [{lo}, {hi}]")
         return np.array([round(float(v), 6) for v in rng.uniform(lo, hi, n)])
     raise InvalidSpec(f"{name} must give 'values' or 'uniform'")
@@ -220,7 +226,8 @@ class ExperimentReport:
         lines = [
             f"scenario: {self.scenario.label}",
             f"agents: {self.scenario.n_agents}  seed: {self.scenario.seed}",
-            f"converged: {self.converged}  iterations: {self.trace.iterations}",
+            f"converged: {self.converged}  iterations: {self.trace.iterations}"
+            + ("" if self.converged else f"  stop: {self.trace.stop_reason}"),
             f"final common speed: {self.final_speed:.4f} km/h",
             f"final spread: {self.trace.spreads[-1]:.3e} km/h",
             f"oracle optimum: {c.s_star:.4f} km/h (residual {c.residual:.3e},"
@@ -242,24 +249,14 @@ def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
 
     solver = dict(scenario.solver)
     if max_iters is not None:
-        solver["max_iterations"] = int(max_iters)
-    mu = solver.get("mu")
-    if mu is None:
-        mu = consensus.auto_mu(bank, certificate.s_star)
+        solver["max_iterations"] = max_iters
+    if solver.get("mu") is None:
+        solver["mu"] = consensus.auto_mu(bank, certificate.s_star)
     try:
-        config = consensus.SolverConfig(
-            mu=mu,
-            consensus_tol=solver.get("consensus_tol", 0.01),
-            optimality_tol=solver.get("optimality_tol", 1e-6),
-            max_iterations=solver.get("max_iterations", 500),
-        )
-    except ValueError as exc:
+        config = consensus.SolverConfig(**solver)
+    except (TypeError, ValueError) as exc:  # an unknown key, or a bad value
         raise InvalidSpec(f"solver: {exc}") from exc
-
-    try:
-        trace = consensus.run(scenario.initial_speeds, topology, bank, config)
-    except NonConvergence as exc:
-        trace = exc.trace
+    trace = consensus.run(scenario.initial_speeds, topology, bank, config)
 
     window = min(10, max(1, trace.iterations))
     ergodicity = topology.check_ergodicity_window(0, window)
@@ -268,7 +265,7 @@ def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
         scenario=scenario,
         trace=trace,
         certificate=certificate,
-        mu=mu,
+        mu=config.mu,
         ergodicity=ergodicity,
     )
 

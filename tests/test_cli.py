@@ -50,10 +50,10 @@ class TestRun:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "converged: True" in out
+        assert "converged: True  iterations: 5\n" in out  # no stop reason
         assert (tmp_path / "trace.csv").exists()
 
-    def test_nonconvergence_exits_nonzero(self, tmp_path):
+    def test_nonconvergence_exits_nonzero(self, tmp_path, capsys):
         spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
         spec["n_agents"] = 4
         spec["curves"] = {
@@ -68,6 +68,11 @@ class TestRun:
         path = tmp_path / "cliques.json"
         path.write_text(json.dumps(spec))
         assert main(["run", "--scenario", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "converged: False  iterations: 40"
+            "  stop: no convergence within 40 iterations\n"
+        ) in out
 
     def test_max_iters_flag(self, tmp_path):
         code = main(
@@ -113,6 +118,21 @@ class TestVerify:
         assert "quasi-convexity" in out
         assert "ergodicity proxy" in out
 
+    def test_seed_override_matches_run(self, tmp_path, capsys):
+        """`verify --seed` regenerates the scenario as `run --seed` does."""
+        spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
+        spec["topology"] = {"model": "random_failure", "link_up_probability": 0.012}
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(spec))
+        scenario = ["--scenario", str(path), "--seed", "3"]
+        main(["run", *scenario, "--max-iters", "10"])
+        run_out = capsys.readouterr().out
+        assert main(["verify", *scenario]) == 0
+        verify_out = capsys.readouterr().out
+        # seed 3 draws a connected union graph over the first 10 iterations
+        assert "ergodicity proxy (window 10): connected" in run_out
+        assert "ergodicity proxy: connected" in verify_out
+
     def test_unknown_scenario_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 99}))
@@ -151,6 +171,43 @@ class TestBadInput:
             pytest.param(
                 "topology", {"model": "fixed", "edges": [[0, "a"]]}, id="topology-edges-a"
             ),
+            ("n_agents", 15.9),
+            ("seed", 1.7),
+            pytest.param(
+                "topology",
+                {"model": "random_failure", "link_up_probability": 0.5, "seed": 1.7},
+                id="topology-seed-1.7",
+            ),
+            pytest.param(
+                "topology", {"model": "fixed", "edges": [[0, 1.7]]}, id="topology-edges-1.7"
+            ),
+            pytest.param(
+                "topology",
+                {"model": "fixed", "edges": [[0, 1]], "directed": "no"},
+                id="topology-directed-no",
+            ),
+            pytest.param(
+                "topology", {"model": "proximity", "radius": float("nan")},
+                id="topology-radius-nan",
+            ),
+            pytest.param(
+                "topology", {"model": "proximity", "dt_hours": -0.01},
+                id="topology-dt_hours--0.01",
+            ),
+            pytest.param(
+                "topology", {"model": "proximity", "route_span": float("inf")},
+                id="topology-route_span-inf",
+            ),
+            pytest.param(
+                "distances", {"values": [float("nan")] * 15}, id="distances-nan"
+            ),
+            pytest.param(
+                "distances", {"uniform": [15.0, float("inf")]}, id="distances-uniform-inf"
+            ),
+            pytest.param(
+                "initial_speeds", {"values": [float("nan")] + [12.0] * 14},
+                id="initial_speeds-nan",
+            ),
         ],
     )
     def test_bad_value(self, tmp_path, capsys, field, value):
@@ -160,6 +217,14 @@ class TestBadInput:
         path.write_text(json.dumps(spec))
         assert main(["run", "--scenario", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_solver_key(self, tmp_path, capsys):
+        spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
+        spec["solver"]["max_iteration"] = 10  # misspelt max_iterations
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "error: solver:" in capsys.readouterr().err
 
     def test_sweep_zero_mu(self, tmp_path, capsys):
         code = main(

@@ -1,13 +1,19 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from groupspeed import consensus
 from groupspeed.consensus import FORM_AGREEMENT_TOL, SolverConfig
-from groupspeed.errors import DimensionMismatch, NonConvergence
+from groupspeed.errors import DimensionMismatch
 from groupspeed.netsim import CompleteTopology, FixedTopology, RandomFailureTopology
 from groupspeed.riskmodel import RiskBank, fit_risk_curve, to_speed_risk
+from groupspeed.scenario import load_scenario
 
 from conftest import QuadraticGroup, parabola_points, random_convex_curve
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _config(mu=0.1, **kw):
@@ -99,6 +105,7 @@ class TestRun:
         trace = consensus.run([5.0, 1.0, 4.0, 2.0], CompleteTopology(4),
                               g_list, _config(mu=0.05))
         assert trace.converged
+        assert trace.stop_reason == "converged"
         assert trace.final_common_speed == pytest.approx(np.mean(a), abs=1e-6)
 
     def test_single_agent_scalar_descent(self):
@@ -112,22 +119,53 @@ class TestRun:
     def test_disconnected_cliques_spread_stuck(self):
         g_list = QuadraticGroup([2.0] * 4)
         top = FixedTopology(4, [(0, 1), (2, 3)])
-        with pytest.raises(NonConvergence) as exc:
-            consensus.run([1.0, 1.0, 9.0, 9.0], top, g_list,
-                          _config(mu=1e-12, consensus_tol=0.01,
-                                  optimality_tol=1.0, max_iterations=50))
-        trace = exc.value.trace
-        assert trace is not None
+        trace = consensus.run([1.0, 1.0, 9.0, 9.0], top, g_list,
+                              _config(mu=1e-12, consensus_tol=0.01,
+                                      optimality_tol=1.0, max_iterations=50))
         assert not trace.converged
+        assert trace.stop_reason == "no convergence within 50 iterations"
+        assert trace.iterations == 50
         assert trace.spreads[-1] > 0.01
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.stop_reason = "converged"
 
     def test_divergence_guard_attaches_trace(self):
         g_list = QuadraticGroup([0.0, 0.0])
         # mu far beyond the stability bound 2 / (2 n) = 0.5
-        with pytest.raises(NonConvergence) as exc:
-            consensus.run([1.0, 1.1], CompleteTopology(2), g_list,
-                          _config(mu=50.0, max_iterations=100))
-        assert exc.value.trace is not None
+        trace = consensus.run([1.0, 1.1], CompleteTopology(2), g_list,
+                              _config(mu=50.0, max_iterations=100))
+        assert trace.stop_reason == "no convergence within 100 iterations"
+        assert len(trace.speeds) == len(trace.spreads) == 101
+
+    @pytest.mark.parametrize(
+        "start, mu, iterations",
+        [
+            # G(s) = -1e300 * sum 2 s_i overflows: s(1) ~ -4e300, s(2) = inf
+            ([1.0, 1.1], 1e300, 2),
+            ([1.0, np.nan], 0.1, 0),
+        ],
+        ids=["overflow", "nan-start"],
+    )
+    def test_non_finite_speeds_stop_the_run(self, start, mu, iterations):
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = consensus.run(start, CompleteTopology(2), QuadraticGroup([0, 0]),
+                                  _config(mu=mu))
+        assert trace.stop_reason == "non-finite speeds encountered"
+        assert trace.iterations == iterations
+        assert not np.all(np.isfinite(trace.final_speeds))
+
+    def test_near_agreement_start_with_clamped_step_converges(self):
+        # mu = 24 lies inside the stability interval (0, 31.77) at s* = 14.31.
+        # The first step clamps agents at different domain edges, so the spread
+        # jumps from 1.4e-6 to several km/h; the run still converges, as it does
+        # from exactly equal speeds.
+        s = load_scenario(SCENARIOS / "low_pollution.json")
+        config = SolverConfig(mu=24.0, consensus_tol=0.005)
+        starts = [np.full(15, 8.0), 8.0 + 1e-7 * np.arange(15)]
+        traces = [consensus.run(s0, s.build_topology(), s.build_risks(), config)
+                  for s0 in starts]
+        assert [t.stop_reason for t in traces] == ["converged", "converged"]
+        assert traces[1].spreads[1] > 1e3 * traces[1].spreads[0]
 
     def test_monotone_spread_complete_graph_no_coupling(self):
         rng = np.random.default_rng(3)
