@@ -24,7 +24,6 @@ from .riskmodel import (
     SpeedRisk,
     check_quasi_convexity,
     fit_risk_curve,
-    to_speed_risk,
 )
 from .scenario import (
     BUILTIN_SPECS,

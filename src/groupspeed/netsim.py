@@ -140,10 +140,11 @@ class FixedTopology(TopologySequence):
 class LeaderStarTopology(TopologySequence):
     """Leader (agent 0) hears all; every other agent hears only the leader."""
 
-    def edges(self, k):
+    def __init__(self, n_agents, seed=0):
+        super().__init__(n_agents, seed)
         leaves = np.arange(1, self.n_agents)
         leader = np.zeros_like(leaves)
-        return np.concatenate([leaves, leader]), np.concatenate([leader, leaves])
+        self._edges = np.concatenate([leaves, leader]), np.concatenate([leader, leaves])
 
 
 class RandomFailureTopology(TopologySequence):
@@ -152,7 +153,6 @@ class RandomFailureTopology(TopologySequence):
     Each undirected base edge is up at iteration k with probability
     `link_up_probability`, drawn from a stream derived from (seed, k) so
     replays are bit-identical and queries at distinct k are independent.
-    The last k's links are kept, so per-agent queries share one draw.
     """
 
     def __init__(self, n_agents, link_up_probability, base=None, seed=0):
@@ -167,15 +167,12 @@ class RandomFailureTopology(TopologySequence):
         low, high = np.sort(self._pairs(base), axis=1).T
         # one draw per base edge, repeats included, in sorted (low, high) order
         self._draws = np.sort(low * self.n_agents + high)
-        self._last = (None, None)
 
     def edges(self, k):
-        if self._last[0] != k:
-            rng = np.random.default_rng([self.seed, int(k)])
-            up = self._draws[rng.random(len(self._draws)) < self.p]
-            a, b = np.divmod(up[np.diff(up, prepend=-1) != 0], self.n_agents)
-            self._last = (k, (np.concatenate([a, b]), np.concatenate([b, a])))
-        return self._last[1]
+        rng = np.random.default_rng([self.seed, int(k)])
+        up = self._draws[rng.random(len(self._draws)) < self.p]
+        a, b = np.divmod(up[np.diff(up, prepend=-1) != 0], self.n_agents)
+        return np.concatenate([a, b]), np.concatenate([b, a])
 
 
 class ProximityTopology(TopologySequence):

@@ -3,15 +3,16 @@
 A RiskCurve is a strictly convex C^2 piecewise-cubic interpolant of
 (travel time, relative risk) control points. A SpeedRisk re-expresses it over
 speed through g(s) = f(d/s), which is strictly quasi-convex with a unique
-minimizer at d/t_tip. A RiskBank stacks a group's SpeedRisks into arrays, so
-that one numpy pass evaluates every agent.
+minimizer at d/t_tip. A RiskBank fits a group's curves and stacks them with
+the route distances into arrays, so that one numpy pass evaluates every agent.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, InteriorMinimumMissing, NonConvexFit, OutOfDomain
+from .errors import DegenerateInput, DimensionMismatch, InteriorMinimumMissing
+from .errors import NonConvexFit, OutOfDomain
 
 INTERIOR_PAD = 1e-7  # hours; a minimum this close to a domain end counts as on it
 QC_SEPARATION = 1e-6  # share of the domain below which rounding can tie a triple
@@ -135,24 +136,30 @@ def _curvature(d, s, f1, f2):
 
 
 class RiskBank:
-    """A group's SpeedRisks stacked row by row; each method is one numpy pass.
+    """A group's fitted risks stacked row by row; each method is one numpy pass.
 
-    Evaluates with the same arithmetic as the per-agent SpeedRisk methods and
-    raises OutOfDomain for the same inputs. Curves with fewer knots than the
-    longest are padded with interior knots at +inf, which no time reaches.
-    The SpeedRisks themselves stay available in agent order: bank[i].
+    Built from each agent's control points and route distance (km). Evaluates
+    with the same arithmetic as the per-agent SpeedRisk methods and raises
+    OutOfDomain for the same inputs. Curves with fewer knots than the longest
+    are padded with interior knots at +inf, which no time reaches. bank[i]
+    builds agent i's SpeedRisk on read.
     """
 
-    def __init__(self, risks):
-        self._risks = tuple(risks)
-        curves = [g.base for g in self._risks]
-        self.distance = np.array([g.distance for g in self._risks], dtype=float)
+    def __init__(self, control_points, distances):
+        self.distance = d = np.array(distances, dtype=float)
+        bad = ~(d > 0.0)  # NaN is not positive either
+        if bad.any():
+            raise DegenerateInput(f"distance must be positive, got {d[bad][0]}")
+        curves = self._curves = tuple(fit_risk_curve(pts) for pts in control_points)
+        n = len(curves)
+        if len(d) != n:
+            raise DimensionMismatch(f"{len(d)} distances for {n} curves")
         self.t_lo, self.t_hi = np.array([c.domain for c in curves]).reshape(-1, 2).T
-        self.lo, self.hi = self.distance / self.t_hi, self.distance / self.t_lo
+        self.lo, self.hi = d / self.t_hi, d / self.t_lo
         pieces = max((len(c._knots) - 1 for c in curves), default=1)
-        inner = np.full((len(curves), pieces - 1), np.inf)
-        left = np.zeros((len(curves), pieces))
-        coef = np.zeros((4, len(curves), pieces))
+        inner = np.full((n, pieces - 1), np.inf)
+        left = np.zeros((n, pieces))
+        coef = np.zeros((4, n, pieces))
         for row, c in enumerate(curves):
             m = len(c._knots) - 1
             inner[row, : m - 1] = c._knots[1:-1]
@@ -161,13 +168,13 @@ class RiskBank:
         self._inner = inner
         self._left = left.ravel()
         self._coef = coef.reshape(4, -1)
-        self._first = np.arange(len(curves)) * pieces  # flat index of piece 0
+        self._first = np.arange(n) * pieces  # flat index of piece 0
 
     def __len__(self):
-        return len(self._risks)
+        return len(self._curves)
 
     def __getitem__(self, i):
-        return self._risks[i]
+        return SpeedRisk(self._curves[i], float(self.distance[i]))
 
     def _f(self, t, nu):
         """nu-th derivative of each agent's f_i at its own travel time t_i."""
@@ -291,12 +298,6 @@ def _find_breakeven(x, c, tipping):
             break
         z -= step
     return float(x[j] + z)
-
-
-def to_speed_risk(curve, distance):
-    if distance <= 0.0:
-        raise DegenerateInput(f"distance must be positive, got {distance}")
-    return SpeedRisk(base=curve, distance=float(distance))
 
 
 @dataclass(frozen=True)

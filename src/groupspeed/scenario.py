@@ -16,7 +16,7 @@ import numpy as np
 
 from . import consensus, netsim, oracle, svgchart
 from .errors import InvalidSpec
-from .riskmodel import RiskBank, fit_risk_curve, to_speed_risk
+from .riskmodel import RiskBank
 
 SCHEMA_VERSION = 1
 
@@ -99,11 +99,8 @@ class Scenario:
             fh.write("\n")
 
     def build_risks(self):
-        """The group's RiskBank of fitted SpeedRisks, in agent order."""
-        return RiskBank(
-            to_speed_risk(fit_risk_curve(pts), d)
-            for pts, d in zip(self.control_points, self.distances)
-        )
+        """The group's RiskBank, fitted from its curves and distances."""
+        return RiskBank(self.control_points, self.distances)
 
     def build_topology(self):
         seed = self.topology.get("seed", self.seed)
@@ -115,25 +112,30 @@ def generate_scenario(spec):
 
     All draws come from one generator seeded by the spec's seed, in a fixed
     order, so equal (spec, seed) always yields the identical scenario.
+    Raises InvalidSpec for a missing field and for any malformed value.
     """
+    try:
+        return _generate(spec)
+    except KeyError as exc:
+        raise InvalidSpec(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed field: {exc}") from exc
+
+
+def _generate(spec):
     if not isinstance(spec, dict):
         raise InvalidSpec("spec must be a mapping")
     if spec.get("schema_version") != SCHEMA_VERSION:
         raise InvalidSpec(
             f"unsupported schema_version {spec.get('schema_version')!r}"
         )
-    try:
-        n = operator.index(spec["n_agents"])
-        seed = operator.index(spec["seed"])
-        curves = spec["curves"]
-        distances = spec["distances"]
-        speeds = spec["initial_speeds"]
-        topology = dict(spec["topology"])
-        solver = dict(spec["solver"])
-    except KeyError as exc:
-        raise InvalidSpec(f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"malformed field: {exc}") from exc
+    n = operator.index(spec["n_agents"])
+    seed = operator.index(spec["seed"])
+    curves = spec["curves"]
+    distances = spec["distances"]
+    speeds = spec["initial_speeds"]
+    topology = dict(spec["topology"])
+    solver = dict(spec["solver"])
     if n < 1:
         raise InvalidSpec(f"n_agents must be >= 1, got {n}")
     if seed < 0:

@@ -15,8 +15,8 @@ def parabola_curve():
     return fit_risk_curve(parabola_points())
 
 
-def random_convex_curve(rng, lo=0.3, hi=3.0, n_pts=9):
-    """Fit a random strictly convex cubic a + b(t-c)^2 + e(t-c)^3."""
+def random_convex_points(rng, lo=0.3, hi=3.0, n_pts=9):
+    """Control points of a random strictly convex cubic a + b(t-c)^2 + e(t-c)^3."""
     b = rng.uniform(0.2, 2.0)
     c = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))
     # keep 2b + 6e(t-c) > 0 on [lo, hi]
@@ -24,8 +24,12 @@ def random_convex_curve(rng, lo=0.3, hi=3.0, n_pts=9):
     e = rng.uniform(-0.9 * e_max, 0.9 * e_max)
     a = rng.uniform(0.3, 1.0)
     ts = np.linspace(lo, hi, n_pts)
-    pts = [(float(t), float(a + b * (t - c) ** 2 + e * (t - c) ** 3)) for t in ts]
-    return fit_risk_curve(pts)
+    return [(float(t), float(a + b * (t - c) ** 2 + e * (t - c) ** 3)) for t in ts]
+
+
+def random_convex_curve(rng):
+    """The fit of random_convex_points(rng)."""
+    return fit_risk_curve(random_convex_points(rng))
 
 
 class QuadraticGroup:

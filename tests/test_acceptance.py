@@ -18,12 +18,7 @@ from groupspeed.netsim import (
     LeaderStarTopology,
     RandomFailureTopology,
 )
-from groupspeed.riskmodel import (
-    RiskBank,
-    check_quasi_convexity,
-    fit_risk_curve,
-    to_speed_risk,
-)
+from groupspeed.riskmodel import RiskBank, SpeedRisk, check_quasi_convexity
 
 from conftest import QuadraticGroup, parabola_points, random_convex_curve
 
@@ -94,8 +89,7 @@ def test_criterion_3_oracle_self_consistency():
 
 
 def test_criterion_4_closed_form_quadratic():
-    curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-    g_list = RiskBank([to_speed_risk(curve, 2.0), to_speed_risk(curve, 3.0)])
+    g_list = RiskBank([parabola_points(lo=0.25, hi=2.0)] * 2, [2.0, 3.0])
     cert = oracle.solve_common_speed(g_list, tol=1e-10)
 
     config = consensus.SolverConfig(
@@ -120,7 +114,7 @@ def test_criterion_5_quasi_convexity_suite():
     for i in range(20):
         curve = random_convex_curve(rng)
         d = float(rng.uniform(1.5, 4.0))
-        g = to_speed_risk(curve, d)
+        g = SpeedRisk(curve, d)
         rep = check_quasi_convexity(g, samples=10_000, seed=i)
         assert rep.passed, f"curve {i}: counterexample {rep.counterexample}"
 
@@ -155,10 +149,8 @@ def test_criterion_6_matrix_suite():
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(np.diag(P) > 0)
 
-    curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-    g_list = RiskBank(
-        [to_speed_risk(curve, float(d)) for d in rng.uniform(1.5, 3.0, 8)]
-    )
+    pts = parabola_points(lo=0.25, hi=2.0)
+    g_list = RiskBank([pts] * 8, rng.uniform(1.5, 3.0, 8))
     config = consensus.SolverConfig(mu=0.05, consensus_tol=1e-6,
                                     optimality_tol=1e-6, max_iterations=10)
     worst = 0.0

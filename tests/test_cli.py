@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import groupspeed
+from groupspeed import scenario as scen
 from groupspeed.cli import main
+from groupspeed.errors import InvalidSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -216,6 +218,37 @@ class TestBadInput:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
         assert main(["run", "--scenario", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("distances",), {"uniform": ["a", 20]}, id="uniform-a"),
+            pytest.param(("distances",), {"uniform": [1]}, id="uniform-one-bound"),
+            pytest.param(
+                ("distances",), {"values": ["x"] + [16.0] * 14}, id="distances-x"
+            ),
+            pytest.param(
+                ("initial_speeds",), {"values": ["x"] + [12.0] * 14},
+                id="initial_speeds-x",
+            ),
+            pytest.param(
+                ("curves", "per_agent_control_points", 0, 0), [0.5, "x"],
+                id="control-point-x",
+            ),
+        ],
+    )
+    def test_non_numeric_value(self, tmp_path, capsys, path, value):
+        spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(InvalidSpec):
+            scen.generate_scenario(spec)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        assert main(["run", "--scenario", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_solver_key(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from groupspeed import consensus
 from groupspeed.consensus import FORM_AGREEMENT_TOL, SolverConfig
 from groupspeed.errors import DimensionMismatch
 from groupspeed.netsim import CompleteTopology, FixedTopology, RandomFailureTopology
-from groupspeed.riskmodel import RiskBank, fit_risk_curve, to_speed_risk
+from groupspeed.riskmodel import RiskBank
 from groupspeed.scenario import load_scenario
 
 from conftest import QuadraticGroup, parabola_points, random_convex_curve
@@ -24,8 +24,7 @@ def _config(mu=0.1, **kw):
 
 class TestCoupling:
     def test_zero_at_individual_minimizers(self):
-        curve = fit_risk_curve(parabola_points())
-        g_list = RiskBank([to_speed_risk(curve, d) for d in (1.0, 2.0, 3.0)])
+        g_list = RiskBank([parabola_points()] * 3, [1.0, 2.0, 3.0])
         s = [g.minimizer for g in g_list]
         assert consensus.coupling(g_list, s, mu=0.2) == pytest.approx(
             0.0, abs=3e-8
@@ -45,8 +44,7 @@ class TestCoupling:
             consensus.coupling(QuadraticGroup([1.0]), [1.0, 2.0], mu=0.1)
 
     def test_dimension_mismatch_real_bank(self):
-        curve = fit_risk_curve(parabola_points())
-        bank = RiskBank([to_speed_risk(curve, d) for d in (1.0, 2.0)])
+        bank = RiskBank([parabola_points()] * 2, [1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             consensus.coupling(bank, [1.5, 1.5, 1.5], mu=0.1)
 
@@ -82,10 +80,8 @@ class TestFormEquivalence:
 
     def test_random_states_and_topologies(self):
         rng = np.random.default_rng(17)
-        curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-        g_list = RiskBank(
-            [to_speed_risk(curve, float(d)) for d in rng.uniform(1.5, 3.0, 6)]
-        )
+        pts = parabola_points(lo=0.25, hi=2.0)
+        g_list = RiskBank([pts] * 6, rng.uniform(1.5, 3.0, 6))
         config = _config(mu=0.05)
         for trial in range(100):
             top = RandomFailureTopology(6, 0.6, seed=trial)
@@ -109,9 +105,8 @@ class TestRun:
         assert trace.final_common_speed == pytest.approx(np.mean(a), abs=1e-6)
 
     def test_single_agent_scalar_descent(self):
-        curve = fit_risk_curve(parabola_points())
-        g = to_speed_risk(curve, 2.0)
-        trace = consensus.run([3.5], CompleteTopology(1), RiskBank([g]),
+        bank = RiskBank([parabola_points()], [2.0])
+        trace = consensus.run([3.5], CompleteTopology(1), bank,
                               _config(mu=1.0, max_iterations=200))
         assert trace.converged
         assert trace.final_common_speed == pytest.approx(2.0, abs=1e-4)
@@ -180,8 +175,7 @@ class TestRun:
         assert all(b <= a + 1e-12 for a, b in zip(spreads, spreads[1:]))
 
     def test_determinism_bitwise(self):
-        curve = fit_risk_curve(parabola_points())
-        g_list = RiskBank([to_speed_risk(curve, d) for d in (1.8, 2.0, 2.2)])
+        g_list = RiskBank([parabola_points()] * 3, [1.8, 2.0, 2.2])
         config = _config(mu=0.5, consensus_tol=1e-6, optimality_tol=1e-6)
         runs = []
         for _ in range(2):
@@ -247,3 +241,27 @@ class TestAutoMu:
 
         with pytest.raises(ValueError):
             consensus.auto_mu(Flat([1.0]), 2.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: consensus.run(
+                [1.0, 2.0], CompleteTopology(3), QuadraticGroup([2.0, 2.0]), _config()
+            ),
+            DimensionMismatch,
+            "2 initial speeds for 3 agents",
+            id="run-topology-of-wrong-size",
+        ),
+        pytest.param(
+            lambda: SolverConfig(mu="x"),
+            ValueError,
+            "mu and tolerances must be finite and > 0",
+            id="solver-config-mu-x",
+        ),
+    ],
+)
+def test_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

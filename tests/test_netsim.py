@@ -287,3 +287,23 @@ class TestMakeTopology:
             make_topology({"model": "fixed"}, 4)
         with pytest.raises(InvalidSpec):
             make_topology({"model": "random_failure"}, 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: RandomFailureTopology(3, 1.5),
+            "link_up_probability must be in",
+            id="link-up-probability-1.5",
+        ),
+        pytest.param(
+            lambda: ProximityTopology(3).record_speeds(0, [10.0, 12.0]),
+            "speed vector length mismatch",
+            id="record-speeds-wrong-length",
+        ),
+    ],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(DegenerateInput, match=message):
+        call()

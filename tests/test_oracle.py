@@ -3,16 +3,15 @@ import pytest
 
 from groupspeed import oracle
 from groupspeed.errors import DegenerateInput, EmptyDomainIntersection
-from groupspeed.riskmodel import RiskBank, fit_risk_curve, to_speed_risk
+from groupspeed.riskmodel import RiskBank, fit_risk_curve
 
-from conftest import parabola_points, random_convex_curve
+from conftest import parabola_points, random_convex_points
 
 
 @pytest.fixture
 def quadratic_pair():
     """Two agents with f_i(t) = (t-1)^2 + 1, d = (2, 3); s* = 13/5 closed form."""
-    curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-    return RiskBank([to_speed_risk(curve, 2.0), to_speed_risk(curve, 3.0)])
+    return RiskBank([parabola_points(lo=0.25, hi=2.0)] * 2, [2.0, 3.0])
 
 
 class TestSolveCommonSpeed:
@@ -30,27 +29,25 @@ class TestSolveCommonSpeed:
 
     def test_identical_agents(self):
         curve = fit_risk_curve(parabola_points())
-        g_list = RiskBank([to_speed_risk(curve, 2.0)] * 5)
+        g_list = RiskBank([parabola_points()] * 5, [2.0] * 5)
         cert = oracle.solve_common_speed(g_list, tol=1e-10)
         assert cert.s_star == pytest.approx(2.0 / curve.tipping_point, abs=1e-6)
 
     def test_single_agent(self):
         curve = fit_risk_curve(parabola_points())
-        bank = RiskBank([to_speed_risk(curve, 3.0)])
+        bank = RiskBank([parabola_points()], [3.0])
         cert = oracle.solve_common_speed(bank, tol=1e-10)
         assert cert.s_star == pytest.approx(3.0 / curve.tipping_point, abs=1e-6)
 
     def test_boundary_optimum_flagged(self):
         # common domain [7.5, 8] clips the unconstrained root 229/17 ~ 13.5
-        curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-        g_list = RiskBank([to_speed_risk(curve, 2.0), to_speed_risk(curve, 15.0)])
+        g_list = RiskBank([parabola_points(lo=0.25, hi=2.0)] * 2, [2.0, 15.0])
         cert = oracle.solve_common_speed(g_list)
         assert cert.at_boundary
         assert cert.s_star == pytest.approx(8.0, rel=1e-12)
 
     def test_empty_domain_intersection(self):
-        curve = fit_risk_curve(parabola_points(lo=0.25, hi=2.0))
-        g_list = RiskBank([to_speed_risk(curve, 2.0), to_speed_risk(curve, 30.0)])
+        g_list = RiskBank([parabola_points(lo=0.25, hi=2.0)] * 2, [2.0, 30.0])
         with pytest.raises(EmptyDomainIntersection):
             oracle.solve_common_speed(g_list)
 
@@ -60,7 +57,7 @@ class TestSolveCommonSpeed:
 
     def test_empty_bank(self):
         with pytest.raises(DegenerateInput):
-            oracle.solve_common_speed(RiskBank([]))
+            oracle.solve_common_speed(RiskBank([], []))
 
 
 class TestSignStructure:
@@ -90,17 +87,18 @@ class TestBruteForceVerify:
 
     def test_symmetric_case(self):
         curve = fit_risk_curve(parabola_points())
-        g_list = RiskBank([to_speed_risk(curve, 2.0)] * 3)
+        g_list = RiskBank([parabola_points()] * 3, [2.0] * 3)
         report = oracle.brute_force_verify(g_list, 2.0 / curve.tipping_point)
         assert report.passed
 
     def test_random_curves_agree(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
-            g_list = RiskBank(
-                to_speed_risk(random_convex_curve(rng), float(rng.uniform(1.5, 3.0)))
+            agents = [
+                (random_convex_points(rng), float(rng.uniform(1.5, 3.0)))
                 for _ in range(4)
-            )
+            ]
+            g_list = RiskBank(*zip(*agents))
             cert = oracle.solve_common_speed(g_list, tol=1e-9)
             if cert.at_boundary:
                 continue

@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupspeed.netsim import RandomFailureTopology
-from groupspeed.riskmodel import fit_risk_curve, to_speed_risk
+from groupspeed.riskmodel import RiskBank
 
 from conftest import parabola_points
 
@@ -28,8 +28,7 @@ def test_matrix_invariants_hold_for_any_failure_model(n, p, seed, k):
 )
 @settings(max_examples=100, deadline=None)
 def test_quasi_convex_triple_inequality(d, data):
-    curve = fit_risk_curve(parabola_points())
-    g = to_speed_risk(curve, d)
+    g = RiskBank([parabola_points()], [d])[0]
     lo, hi = g.speed_domain
     u = data.draw(st.floats(min_value=lo, max_value=hi, exclude_max=True))
     v = data.draw(st.floats(min_value=u, max_value=hi, exclude_min=True))

@@ -6,15 +6,16 @@ from scipy.interpolate import CubicSpline
 from groupspeed import scenario as scen
 from groupspeed.errors import (
     DegenerateInput,
+    DimensionMismatch,
     InteriorMinimumMissing,
     NonConvexFit,
     OutOfDomain,
 )
 from groupspeed.riskmodel import (
     RiskBank,
+    SpeedRisk,
     check_quasi_convexity,
     fit_risk_curve,
-    to_speed_risk,
 )
 from groupspeed.scenario import HIGH_POLLUTION_POINTS, LOW_POLLUTION_POINTS
 
@@ -202,26 +203,20 @@ class TestDigitizedCurve:
 
 class TestSpeedRisk:
     def test_minimizer_mapping(self, parabola_curve):
-        g = to_speed_risk(parabola_curve, 2.0)
+        g = SpeedRisk(parabola_curve, 2.0)
         assert g.minimizer == pytest.approx(2.0, abs=1e-6)
 
     def test_derivative_zero_at_minimizer(self, parabola_curve):
-        g = to_speed_risk(parabola_curve, 2.0)
+        g = SpeedRisk(parabola_curve, 2.0)
         assert g.derivative(g.minimizer) == pytest.approx(0.0, abs=1e-8)
 
     def test_derivative_hand_chain_rule(self, parabola_curve):
         # g'(4) = -(2/16) f'(0.5) = -(0.125)(-1.0) = 0.125
-        g = to_speed_risk(parabola_curve, 2.0)
+        g = SpeedRisk(parabola_curve, 2.0)
         assert g.derivative(4.0) == pytest.approx(0.125, abs=1e-6)
 
-    def test_nonpositive_distance(self, parabola_curve):
-        with pytest.raises(DegenerateInput):
-            to_speed_risk(parabola_curve, 0.0)
-        with pytest.raises(DegenerateInput):
-            to_speed_risk(parabola_curve, -1.0)
-
     def test_value_matches_composition_everywhere(self, parabola_curve):
-        g = to_speed_risk(parabola_curve, 2.0)
+        g = SpeedRisk(parabola_curve, 2.0)
         ss = np.linspace(*g.speed_domain, 1000)
         np.testing.assert_allclose(
             g.value(ss), parabola_curve.value(2.0 / ss), atol=1e-12
@@ -230,21 +225,21 @@ class TestSpeedRisk:
     def test_chain_rule_identity_on_grid(self):
         rng = np.random.default_rng(11)
         curve = random_convex_curve(rng)
-        g = to_speed_risk(curve, 2.5)
+        g = SpeedRisk(curve, 2.5)
         ss = np.linspace(*g.speed_domain, 1000)
         lhs = g.derivative(ss)
         rhs = -(2.5 / ss**2) * curve.derivative(2.5 / ss)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_out_of_domain_speed(self, parabola_curve):
-        g = to_speed_risk(parabola_curve, 2.0)
+        g = SpeedRisk(parabola_curve, 2.0)
         with pytest.raises(OutOfDomain):
             g.value(g.speed_domain[1] + 1.0)
 
 
 class TestQuasiConvexity:
     def test_accepted_curves_pass(self, parabola_curve):
-        g = to_speed_risk(parabola_curve, 2.0)
+        g = SpeedRisk(parabola_curve, 2.0)
         report = check_quasi_convexity(g, samples=10_000, seed=3)
         assert report.passed
         assert report.counterexample is None
@@ -265,7 +260,7 @@ class TestQuasiConvexity:
         assert gx >= max(gu, gv)
 
     def test_too_few_samples(self, parabola_curve):
-        g = to_speed_risk(parabola_curve, 2.0)
+        g = SpeedRisk(parabola_curve, 2.0)
         with pytest.raises(DegenerateInput):
             check_quasi_convexity(g, samples=2)
 
@@ -294,6 +289,18 @@ def _raises(f, x):
 
 
 class TestRiskBank:
+    def test_nonpositive_distance(self):
+        with pytest.raises(DegenerateInput, match="positive, got 0.0"):
+            RiskBank([parabola_points()] * 2, [2.0, 0.0])
+        with pytest.raises(DegenerateInput, match="positive, got -1.0"):
+            RiskBank([parabola_points()] * 3, [2.0, -1.0, -3.0])
+        with pytest.raises(DegenerateInput, match="positive, got nan"):
+            RiskBank([parabola_points()] * 2, [float("nan"), 2.0])
+
+    def test_distance_count_must_match_curves(self):
+        with pytest.raises(DimensionMismatch):
+            RiskBank([parabola_points()] * 2, [2.0])
+
     @pytest.mark.parametrize("ragged", [False, True])
     def test_equals_per_agent_methods(self, ragged):
         bank = _group(ragged)
@@ -350,7 +357,7 @@ class TestBuildRisks:
         bank = scenario.build_risks()
         assert isinstance(bank, RiskBank)
         expected = [
-            to_speed_risk(fit_risk_curve(pts), d)
+            SpeedRisk(fit_risk_curve(pts), d)
             for pts, d in zip(scenario.control_points, scenario.distances)
         ]
         assert len(bank) == len(expected) == 25

@@ -7,6 +7,7 @@ import pytest
 
 from groupspeed import scenario as scen
 from groupspeed.errors import InvalidSpec
+from groupspeed.scenario import LOW_POLLUTION_POINTS
 
 
 def low_spec(**overrides):
@@ -79,6 +80,77 @@ class TestGenerateScenario:
         spec["distances"] = {"values": [16.0, 17.0]}
         with pytest.raises(InvalidSpec):
             scen.generate_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda spec: [spec], "spec must be a mapping", id="not-a-mapping"),
+            pytest.param(
+                lambda spec: spec | {"n_agents": 0}, "n_agents must be >= 1", id="n_agents-0"
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {"curves": {"per_agent_control_points": [LOW_POLLUTION_POINTS] * 3}},
+                "3 curve sets for 15 agents",
+                id="curve-set-count",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {
+                    "curves": {
+                        "per_agent_control_points": [
+                            [p + [0.0] for p in LOW_POLLUTION_POINTS]
+                        ]
+                        * 15
+                    }
+                },
+                r"must be \(time, risk\) pairs",
+                id="points-not-pairs",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {"curves": spec["curves"] | {"perturbation_radius": 1.0}},
+                r"perturbation_radius must be in \[0, 1\)",
+                id="radius-1.0",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {"curves": spec["curves"] | {"perturbation_radius": "x"}},
+                "malformed field",
+                id="radius-x",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {"curves": {"base_control_points": [[0.2, "x"]] * 10}},
+                "malformed field",
+                id="base-control-point-x",
+            ),
+            pytest.param(
+                lambda spec: spec | {"curves": {}},
+                "curves must give base_control_points",
+                id="no-curve-source",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {
+                    "curves": {
+                        "base_control_points": [[0.2, float("nan")]]
+                        + LOW_POLLUTION_POINTS[1:]
+                    }
+                },
+                "control points must be finite",
+                id="nan-control-point",
+            ),
+            pytest.param(
+                lambda spec: spec | {"distances": {"range": [15.0, 20.0]}},
+                "distances must give 'values' or 'uniform'",
+                id="neither-values-nor-uniform",
+            ),
+        ],
+    )
+    def test_rejects_invalid_spec(self, edit, message):
+        with pytest.raises(InvalidSpec, match=message):
+            scen.generate_scenario(edit(low_spec()))
 
     def test_explicit_values_pass_through(self):
         spec = low_spec(n_agents=2)
