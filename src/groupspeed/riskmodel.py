@@ -4,7 +4,8 @@ A RiskCurve is a strictly convex C^2 piecewise-cubic interpolant of
 (travel time, relative risk) control points. A SpeedRisk re-expresses it over
 speed through g(s) = f(d/s), which is strictly quasi-convex with a unique
 minimizer at d/t_tip. A RiskBank fits a group's curves and stacks them with
-the route distances into arrays, so that one numpy pass evaluates every agent.
+the route distances into arrays, so that one numpy pass evaluates every agent;
+it has SpeedRisk's speed-domain methods, written once for both.
 """
 
 from dataclasses import dataclass, field
@@ -75,8 +76,39 @@ class RiskCurve:
         return self._eval(t, 2)
 
 
+class _SpeedRisks:
+    """Speed-domain risk g(s) = f(d/s) and its derivatives, by the chain rule.
+
+    A subclass gives `distance` (km), its speed domain `lo`, `hi` (km/h) and
+    `_f(t, nu)`, the nu-th derivative of f at travel time t (hours). Products,
+    not powers: numpy rounds powers differently for scalars and arrays.
+    """
+
+    def clamp(self, s):
+        """s clamped into the speed domain [lo, hi]."""
+        return np.clip(s, self.lo, self.hi)
+
+    def value(self, s):
+        s = _clip(s, self.lo, self.hi, "s")
+        return self._f(self.distance / s, 0)
+
+    def derivative(self, s):
+        """g'(s) = -(d/s^2) f'(d/s), by the chain rule."""
+        s = _clip(s, self.lo, self.hi, "s")
+        d = self.distance
+        return -(d / (s * s)) * self._f(d / s, 1)
+
+    def second_derivative(self, s):
+        """g''(s) = (d/s^2)^2 f''(d/s) + (2d/s^3) f'(d/s)."""
+        s = _clip(s, self.lo, self.hi, "s")
+        d = self.distance
+        t = d / s
+        q = d / (s * s)
+        return q * q * self._f(t, 2) + (2.0 * d / (s * s * s)) * self._f(t, 1)
+
+
 @dataclass(frozen=True)
-class SpeedRisk:
+class SpeedRisk(_SpeedRisks):
     """Speed-domain risk g(s) = f(d/s) for a single agent.
 
     Strictly quasi-convex on speed_domain = [d/t_hi, d/t_lo] with unique
@@ -87,69 +119,42 @@ class SpeedRisk:
     distance: float  # km
 
     @property
+    def lo(self):
+        return self.distance / self.base.domain[1]
+
+    @property
+    def hi(self):
+        return self.distance / self.base.domain[0]
+
+    @property
     def speed_domain(self):
-        t_lo, t_hi = self.base.domain
-        return (self.distance / t_hi, self.distance / t_lo)
+        return (self.lo, self.hi)
 
     @property
     def minimizer(self):
         return self.distance / self.base.tipping_point
 
-    def _check_domain(self, s):
-        return _clip(s, *self.speed_domain, "s")
-
-    def clamp(self, s):
-        lo, hi = self.speed_domain
-        return float(np.clip(s, lo, hi))
-
-    def value(self, s):
-        s = self._check_domain(s)
-        return self.base.value(self.distance / s)
-
-    def derivative(self, s):
-        """g'(s) = -(d/s^2) f'(d/s), by the chain rule."""
-        s = self._check_domain(s)
-        d = self.distance
-        return _slope(d, s, self.base.derivative(d / s))
-
-    def second_derivative(self, s):
-        s = self._check_domain(s)
-        d = self.distance
-        t = d / s
-        return _curvature(
-            d, s, self.base.derivative(t), self.base.second_derivative(t)
-        )
+    def _f(self, t, nu):
+        return self.base._eval(t, nu)
 
 
-# The chain rule for g(s) = f(d/s), shared by SpeedRisk and RiskBank so both
-# round alike; products, not powers, which numpy rounds differently for
-# scalars and arrays.
-def _slope(d, s, f1):
-    """g'(s) = -(d/s^2) f'(d/s), given f1 = f'(d/s)."""
-    return -(d / (s * s)) * f1
-
-
-def _curvature(d, s, f1, f2):
-    """g''(s) = (d/s^2)^2 f''(d/s) + (2d/s^3) f'(d/s), given f1 and f2 there."""
-    q = d / (s * s)
-    return q * q * f2 + (2.0 * d / (s * s * s)) * f1
-
-
-class RiskBank:
+class RiskBank(_SpeedRisks):
     """A group's fitted risks stacked row by row; each method is one numpy pass.
 
-    Built from each agent's control points and route distance (km). Evaluates
-    with the same arithmetic as the per-agent SpeedRisk methods and raises
-    OutOfDomain for the same inputs. Curves with fewer knots than the longest
-    are padded with interior knots at +inf, which no time reaches. bank[i]
-    builds agent i's SpeedRisk on read.
+    Built from each agent's control points and route distance (km). The
+    speed-domain methods are SpeedRisk's own, with distance, lo and hi one
+    entry per agent; they take one speed per agent or one common speed and
+    return one result per agent, raising OutOfDomain for the same inputs as
+    SpeedRisk. The knots are one (agents, pieces) array, padded with +inf
+    where a curve has fewer pieces than the longest, which no time reaches.
+    bank[i] builds agent i's SpeedRisk on read.
     """
 
     def __init__(self, control_points, distances):
         self.distance = d = np.array(distances, dtype=float)
-        bad = ~(d > 0.0)  # NaN is not positive either
-        if bad.any():
-            raise DegenerateInput(f"distance must be positive, got {d[bad][0]}")
+        bad = d[~(np.isfinite(d) & (d > 0.0))]
+        if bad.size:
+            raise DegenerateInput(f"distance must be finite and positive, got {bad[0]}")
         curves = self._curves = tuple(fit_risk_curve(pts) for pts in control_points)
         n = len(curves)
         if len(d) != n:
@@ -157,16 +162,14 @@ class RiskBank:
         self.t_lo, self.t_hi = np.array([c.domain for c in curves]).reshape(-1, 2).T
         self.lo, self.hi = d / self.t_hi, d / self.t_lo
         pieces = max((len(c._knots) - 1 for c in curves), default=1)
-        inner = np.full((n, pieces - 1), np.inf)
-        left = np.zeros((n, pieces))
+        knots = np.full((n, pieces), np.inf)  # left end of each piece
         coef = np.zeros((4, n, pieces))
         for row, c in enumerate(curves):
             m = len(c._knots) - 1
-            inner[row, : m - 1] = c._knots[1:-1]
-            left[row, :m] = c._knots[:-1]
+            knots[row, :m] = c._knots[:-1]
             coef[:, row, :m] = c._coef
-        self._inner = inner
-        self._left = left.ravel()
+        self._left = knots.ravel()
+        self._inner = knots[:, 1:]
         self._coef = coef.reshape(4, -1)
         self._first = np.arange(n) * pieces  # flat index of piece 0
 
@@ -181,23 +184,6 @@ class RiskBank:
         t = _clip(t, self.t_lo, self.t_hi, "t")
         j = self._first + (self._inner <= t[:, None]).sum(axis=1)
         return _cubic(self._coef.take(j, axis=1), t - self._left.take(j), nu)
-
-    def clamp(self, s):
-        """Each s_i (or one common s) clamped into agent i's speed domain."""
-        return np.clip(s, self.lo, self.hi)
-
-    def derivative(self, s):
-        """g_i'(s_i) per agent; s is one speed per agent or one for all."""
-        s = _clip(s, self.lo, self.hi, "s")
-        d = self.distance
-        return _slope(d, s, self._f(d / s, 1))
-
-    def second_derivative(self, s):
-        """g_i''(s_i) per agent; s is one speed per agent or one for all."""
-        s = _clip(s, self.lo, self.hi, "s")
-        d = self.distance
-        t = d / s
-        return _curvature(d, s, self._f(t, 1), self._f(t, 2))
 
     def phi(self, s):
         """phi(s) = sum_i d_i f_i'(d_i/s) at one common speed s."""
@@ -242,6 +228,10 @@ def fit_risk_curve(control_points):
     if len(pts) < 4:
         raise DegenerateInput(f"need at least 4 control points, got {len(pts)}")
     times, risks = np.array(pts).T.copy()
+    finite = np.isfinite(times) & np.isfinite(risks)
+    if not finite.all():
+        bad = pts[int(np.argmin(finite))]
+        raise DegenerateInput(f"control points must be finite, got {bad}")
     h = np.diff(times)
     if np.any(times <= 0.0):
         raise DegenerateInput("all control-point times must be positive")

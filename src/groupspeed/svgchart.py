@@ -25,6 +25,15 @@ def _fmt(v):
     return f"{v:.4g}"
 
 
+def _text(attrs, body):
+    """A <text> element; its body is escaped, so any title or label is valid XML.
+
+    By hand: xml.sax.saxutils imports urllib.request, about 35 ms at start-up.
+    """
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<text {attrs}>{body}</text>"
+
+
 def line_chart(series, title="", x_label="", y_label=""):
     """Render named (xs, ys) series as an SVG string.
 
@@ -58,40 +67,40 @@ def line_chart(series, title="", x_label="", y_label=""):
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="{MARGIN - 24}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
+        parts.append(_text(
+            f'x="{WIDTH / 2}" y="{MARGIN - 24}" text-anchor="middle" '
+            'font-family="sans-serif" font-size="15"', title
+        ))
     for tx in _ticks(x_lo, x_hi):
         parts.append(
             f'<line x1="{px(tx):.2f}" y1="{HEIGHT - MARGIN}" x2="{px(tx):.2f}" '
             f'y2="{HEIGHT - MARGIN + 5}" stroke="#333"/>'
         )
-        parts.append(
-            f'<text x="{px(tx):.2f}" y="{HEIGHT - MARGIN + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-        )
+        parts.append(_text(
+            f'x="{px(tx):.2f}" y="{HEIGHT - MARGIN + 18}" text-anchor="middle" '
+            'font-family="sans-serif" font-size="11"', _fmt(tx)
+        ))
     for ty in _ticks(y_lo, y_hi):
         parts.append(
             f'<line x1="{MARGIN - 5}" y1="{py(ty):.2f}" x2="{MARGIN}" '
             f'y2="{py(ty):.2f}" stroke="#333"/>'
         )
-        parts.append(
-            f'<text x="{MARGIN - 8}" y="{py(ty):.2f}" text-anchor="end" '
-            f'dominant-baseline="middle" font-family="sans-serif" '
-            f'font-size="11">{_fmt(ty)}</text>'
-        )
+        parts.append(_text(
+            f'x="{MARGIN - 8}" y="{py(ty):.2f}" text-anchor="end" '
+            'dominant-baseline="middle" font-family="sans-serif" '
+            'font-size="11"', _fmt(ty)
+        ))
     if x_label:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
+        parts.append(_text(
+            f'x="{WIDTH / 2}" y="{HEIGHT - 10}" text-anchor="middle" '
+            'font-family="sans-serif" font-size="12"', x_label
+        ))
     if y_label:
-        parts.append(
-            f'<text x="14" y="{HEIGHT / 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {HEIGHT / 2})">{y_label}</text>'
-        )
+        parts.append(_text(
+            f'x="14" y="{HEIGHT / 2}" text-anchor="middle" '
+            'font-family="sans-serif" font-size="12" '
+            f'transform="rotate(-90 14 {HEIGHT / 2})"', y_label
+        ))
 
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -107,10 +116,10 @@ def line_chart(series, title="", x_label="", y_label=""):
                 f'x2="{WIDTH - MARGIN - 50}" y2="{ly - 4}" stroke="{color}" '
                 'stroke-width="2"/>'
             )
-            parts.append(
-                f'<text x="{WIDTH - MARGIN - 44}" y="{ly}" '
-                f'font-family="sans-serif" font-size="11">{label}</text>'
-            )
+            parts.append(_text(
+                f'x="{WIDTH - MARGIN - 44}" y="{ly}" '
+                'font-family="sans-serif" font-size="11"', label
+            ))
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -99,6 +100,19 @@ class TestRun:
         assert (tmp_path / "r1" / "trace.csv").read_bytes() == (
             tmp_path / "r2" / "trace.csv"
         ).read_bytes()
+
+    def test_svgs_parse_with_markup_in_label(self, tmp_path):
+        label = "Dublin <-> Maynooth & back"
+        spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
+        spec["label"] = label
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        for name in ("speeds.svg", "risk_vs_time.svg", "risk_vs_speed.svg"):
+            root = ElementTree.parse(tmp_path / name).getroot()
+            assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        title = ElementTree.parse(tmp_path / "speeds.svg").find(".//{*}text")
+        assert title.text == f"Speed convergence: {label}"
 
 
 class TestSweep:

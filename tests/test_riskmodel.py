@@ -136,6 +136,29 @@ class TestScipyReference:
                 assert curve.breakeven_point == pytest.approx(ends[0], abs=1e-12)
         assert 0 < regained < 202
 
+    def test_speed_second_derivative_is_the_chain_rule(self):
+        """g''(s) = (d/s^2)^2 f''(d/s) + (2d/s^3) f'(d/s), with scipy's f' and f''."""
+        group = [np.array(pts) for pts in reference_curves()]
+        rng = np.random.default_rng(12)
+        distances = rng.uniform(2.0, 40.0, len(group))
+        bank = RiskBank(group, distances)
+        own = rng.uniform(bank.lo, bank.hi)  # one speed per agent
+        at_own = []
+        for pts, g, x in zip(group, bank, own):
+            t, r = pts.T
+            spline = CubicSpline(t, r, bc_type="not-a-knot")
+            ss = np.append(np.linspace(g.lo, g.hi, 500), x)
+            d = g.distance
+            q2, c1 = (d / ss**2) ** 2, 2.0 * d / ss**3
+            want = q2 * spline(d / ss, 2) + c1 * spline(d / ss, 1)
+            scale = q2 + c1
+            # f' and f'' agree with scipy to 1e-12 of the risk range
+            tol = 1e-11 * np.ptp(r) * scale
+            np.testing.assert_array_less(np.abs(g.second_derivative(ss) - want), tol)
+            at_own.append((want[-1], tol[-1]))
+        want, tol = np.array(at_own).T
+        np.testing.assert_array_less(np.abs(bank.second_derivative(own) - want), tol)
+
 
 class TestEval:
     def test_interpolates_control_points(self, parabola_curve):
@@ -280,6 +303,16 @@ def _group(ragged):
     return scen.generate_scenario(_group_spec(ragged)).build_risks()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _edited_parabola(i, j, value):
+    """parabola_points() with coordinate j of point i set to value."""
+    pts = [list(p) for p in parabola_points()]
+    pts[i][j] = value
+    return pts
+
+
 def _raises(f, x):
     try:
         f(x)
@@ -297,6 +330,21 @@ class TestRiskBank:
         with pytest.raises(DegenerateInput, match="positive, got nan"):
             RiskBank([parabola_points()] * 2, [float("nan"), 2.0])
 
+    @pytest.mark.parametrize(
+        "points, distance",
+        [
+            pytest.param(_edited_parabola(0, 0, NAN), 2.0, id="nan-time"),
+            pytest.param(_edited_parabola(7, 0, INF), 2.0, id="inf-time"),
+            pytest.param(_edited_parabola(3, 1, NAN), 2.0, id="nan-risk"),
+            pytest.param(_edited_parabola(3, 1, INF), 2.0, id="inf-risk"),
+            pytest.param(_edited_parabola(3, 1, -INF), 2.0, id="minus-inf-risk"),
+            pytest.param(parabola_points(), INF, id="inf-distance"),
+        ],
+    )
+    def test_non_finite_input(self, points, distance):
+        with pytest.raises(DegenerateInput, match="finite"):
+            RiskBank([parabola_points(), points], [1.0, distance])
+
     def test_distance_count_must_match_curves(self):
         with pytest.raises(DimensionMismatch):
             RiskBank([parabola_points()] * 2, [2.0])
@@ -307,6 +355,7 @@ class TestRiskBank:
         rng = np.random.default_rng(9)
         for _ in range(50):
             s = rng.uniform(bank.lo, bank.hi)
+            assert_array_equal(bank.value(s), [g.value(x) for g, x in zip(bank, s)])
             assert_array_equal(
                 bank.derivative(s), [g.derivative(x) for g, x in zip(bank, s)]
             )
@@ -319,6 +368,7 @@ class TestRiskBank:
                 bank.clamp(wide), [g.clamp(x) for g, x in zip(bank, wide)]
             )
         for y in np.linspace(np.max(bank.lo), np.min(bank.hi), 50):
+            assert_array_equal(bank.value(y), [g.value(y) for g in bank])
             assert_array_equal(bank.derivative(y), [g.derivative(y) for g in bank])
             assert_array_equal(
                 bank.second_derivative(y), [g.second_derivative(y) for g in bank]
@@ -335,7 +385,7 @@ class TestRiskBank:
                 for offset in (0.0, 0.5e-12, 2e-12, 1e-6):
                     s = mid.copy()
                     s[i] = edge + side * offset
-                    for method in ("derivative", "second_derivative"):
+                    for method in ("value", "derivative", "second_derivative"):
                         raised = _raises(getattr(bank, method), s)
                         assert raised == _raises(getattr(g, method), s[i])
                         outcomes.add(raised)
