@@ -4,7 +4,7 @@ The averaging part P(k) pulls the speed vector toward agreement while the
 broadcast scalar G(s) = -mu * sum_i g_i'(s_i) steers the agreement value
 toward the aggregate optimum. Speeds are plain float arrays, one per agent.
 Every function takes the group's risks as one evaluator, a `RiskBank`, and
-reads only its per-agent derivatives, curvatures and clamp.
+reads only its per-agent derivatives, curvatures and common-domain clamp.
 """
 
 import math
@@ -28,6 +28,8 @@ class SolverConfig:
 
     def __post_init__(self):
         values = (self.mu, self.consensus_tol, self.optimality_tol)
+        if any(isinstance(v, bool) for v in (*values, self.max_iterations)):
+            raise ValueError(f"solver values must be numbers, got {self}")
         try:
             positive = all(math.isfinite(v) and v > 0 for v in values)
         except TypeError:  # not a number
@@ -58,17 +60,12 @@ def coupling(bank, s, mu):
 
 
 def step(s, P, bank, config):
-    """One iteration: averaging plus broadcast coupling, then domain clamp."""
+    """One iteration, s(k+1) = clamp(P(k) s(k) + G(s(k)) e)."""
     s = np.asarray(s, dtype=float)
     P = np.asarray(P, dtype=float)
     if P.shape != (len(s), len(s)):
         raise DimensionMismatch(f"matrix shape {P.shape} vs {len(s)} speeds")
-    return _advance(s, P, bank, coupling(bank, s, config.mu))
-
-
-def _advance(s, P, bank, G):
-    """s(k+1) = clamp(P(k) s(k) + G e), given the coupling G at s."""
-    return bank.clamp(P @ s + G)
+    return bank.clamp(P @ s + coupling(bank, s, config.mu))
 
 
 def step_per_agent(s, topology, k, bank, config):
@@ -130,8 +127,9 @@ class SimulationTrace:
 def run(initial_speeds, topology, bank, config):
     """Iterate until consensus + optimality, the budget or a non-finite speed.
 
-    Converged means max spread < consensus_tol and |sum g_i'(mean)| <
-    optimality_tol. The returned trace's stop_reason says which ending it was.
+    Converged means max spread < consensus_tol and the projected step
+    |clamp(mean - sum g_i'(mean)) - mean| < optimality_tol. The trace's
+    stop_reason says which ending it was.
     """
     s = bank.clamp(_speeds(bank, initial_speeds))
     if len(s) != topology.n_agents:
@@ -146,9 +144,8 @@ def run(initial_speeds, topology, bank, config):
         spreads.append(spread)
         couplings.append(G)
 
-        # |sum_i g_i'| at the mean, clamped into each agent's domain
         mean = float(np.mean(s))
-        residual = abs(float(np.sum(bank.derivative(bank.clamp(mean)))))
+        residual = abs(bank.clamp(mean - np.sum(bank.derivative(mean))) - mean)
         if spread < config.consensus_tol and residual < config.optimality_tol:
             reason = CONVERGED
         elif k == config.max_iterations:
@@ -157,7 +154,7 @@ def run(initial_speeds, topology, bank, config):
             reason = "non-finite speeds encountered"
         else:
             topology.record_speeds(k, s)
-            s = _advance(s, topology.build_matrix(k), bank, G)
+            s = bank.clamp(topology.build_matrix(k) @ s + G)
             continue
         return SimulationTrace(np.array(speeds), spreads, couplings, reason)
 
@@ -204,11 +201,11 @@ def scalar_descent(bank, y0, mu, n_iter):
     return ys
 
 
-def auto_mu(bank, y_star, fraction=0.5):
-    """Step gain at `fraction` of the scalar stability bound at y_star."""
+def auto_mu(bank, y_star):
+    """Step gain at half the scalar stability bound at y_star."""
     report = lure_stability(bank, y_star, 0.0)
     if report.mu_interval is None:
         raise ValueError(
             f"nonpositive curvature sum {report.curvature_sum} at y={y_star}"
         )
-    return fraction * report.mu_interval[1]
+    return 0.5 * report.mu_interval[1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyDomainIntersection
+from .errors import DegenerateInput
 
 # Grid points per evaluation pass. Temporaries of 10^5 floats make the C
 # allocator return and re-fault memory on every call, about 3x the work.
@@ -28,15 +28,6 @@ class OptimalityCertificate:
     at_boundary: bool = False  # optimum clipped by the common speed domain
 
 
-def common_speed_domain(bank):
-    lo, hi = float(np.max(bank.lo)), float(np.min(bank.hi))
-    if lo >= hi:
-        raise EmptyDomainIntersection(
-            f"speed domains intersect in [{lo}, {hi}], which is empty"
-        )
-    return lo, hi
-
-
 def solve_common_speed(bank, tol=1e-8):
     """Bisection root of phi on the common speed domain.
 
@@ -45,7 +36,7 @@ def solve_common_speed(bank, tol=1e-8):
     """
     if len(bank) == 0:
         raise DegenerateInput("empty agent list")
-    lo, hi = common_speed_domain(bank)
+    lo, hi = bank.domain
     f_lo, f_hi = bank.phi(lo), bank.phi(hi)
 
     if f_lo * f_hi > 0:
@@ -96,7 +87,7 @@ def brute_force_verify(bank, s_star, grid=100_000):
     """
     if grid < 1000:
         raise DegenerateInput(f"grid must be >= 1000, got {grid}")
-    lo, hi = common_speed_domain(bank)
+    lo, hi = bank.domain
     s = np.linspace(lo, hi, grid)
     total = np.zeros(grid)
     for a in range(0, grid, GRID_BLOCK):

@@ -5,15 +5,15 @@ A RiskCurve is a strictly convex C^2 piecewise-cubic interpolant of
 speed through g(s) = f(d/s), which is strictly quasi-convex with a unique
 minimizer at d/t_tip. A RiskBank fits a group's curves and stacks them with
 the route distances into arrays, so that one numpy pass evaluates every agent;
-it has SpeedRisk's speed-domain methods, written once for both.
+it has SpeedRisk's speed-domain methods and the group's common speed domain.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, InteriorMinimumMissing
-from .errors import NonConvexFit, OutOfDomain
+from .errors import DegenerateInput, DimensionMismatch, EmptyDomainIntersection
+from .errors import InteriorMinimumMissing, NonConvexFit, OutOfDomain
 
 INTERIOR_PAD = 1e-7  # hours; a minimum this close to a domain end counts as on it
 QC_SEPARATION = 1e-6  # share of the domain below which rounding can tie a triple
@@ -84,10 +84,6 @@ class _SpeedRisks:
     not powers: numpy rounds powers differently for scalars and arrays.
     """
 
-    def clamp(self, s):
-        """s clamped into the speed domain [lo, hi]."""
-        return np.clip(s, self.lo, self.hi)
-
     def value(self, s):
         s = _clip(s, self.lo, self.hi, "s")
         return self._f(self.distance / s, 0)
@@ -147,7 +143,7 @@ class RiskBank(_SpeedRisks):
     return one result per agent, raising OutOfDomain for the same inputs as
     SpeedRisk. The knots are one (agents, pieces) array, padded with +inf
     where a curve has fewer pieces than the longest, which no time reaches.
-    bank[i] builds agent i's SpeedRisk on read.
+    bank[i] builds agent i's SpeedRisk on read. `clamp` projects onto `domain`.
     """
 
     def __init__(self, control_points, distances):
@@ -178,6 +174,20 @@ class RiskBank(_SpeedRisks):
 
     def __getitem__(self, i):
         return SpeedRisk(self._curves[i], float(self.distance[i]))
+
+    @property
+    def domain(self):
+        """The common speed domain (max_i lo_i, min_i hi_i), km/h."""
+        if not len(self):
+            raise DegenerateInput("empty agent list")
+        lo, hi = float(np.max(self.lo)), float(np.min(self.hi))
+        if lo >= hi:
+            empty = f"speed domains intersect in [{lo}, {hi}], which is empty"
+            raise EmptyDomainIntersection(empty)
+        return lo, hi
+
+    def clamp(self, s):
+        return np.clip(s, *self.domain)
 
     def _f(self, t, nu):
         """nu-th derivative of each agent's f_i at its own travel time t_i."""

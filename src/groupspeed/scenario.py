@@ -129,8 +129,7 @@ def _generate(spec):
         raise InvalidSpec(
             f"unsupported schema_version {spec.get('schema_version')!r}"
         )
-    n = operator.index(spec["n_agents"])
-    seed = operator.index(spec["seed"])
+    n, seed = _count(spec["n_agents"]), _count(spec["seed"])
     curves = spec["curves"]
     distances = spec["distances"]
     speeds = spec["initial_speeds"]
@@ -179,6 +178,13 @@ def _generate(spec):
         topology=topology,
         solver=solver,
     )
+
+
+def _count(value):
+    """An integer field's value; operator.index alone would take a boolean."""
+    if isinstance(value, bool):
+        raise InvalidSpec(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _materialize(rng, field_spec, n, name):
@@ -247,7 +253,7 @@ def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
     """Run consensus plus the oracle, emit trace/plots, return a report."""
     bank = scenario.build_risks()
     topology = scenario.build_topology()
-    certificate = oracle.solve_common_speed(bank, tol=1e-8)
+    certificate = oracle.solve_common_speed(bank)
 
     solver = dict(scenario.solver)
     if max_iters is not None:

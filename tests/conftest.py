@@ -35,6 +35,8 @@ def random_convex_curve(rng):
 class QuadraticGroup:
     """Test double for a RiskBank: g_i(s) = (s - a_i)^2 on the whole line."""
 
+    domain = (-np.inf, np.inf)
+
     def __init__(self, a):
         self.a = np.array(a, dtype=float)
 
@@ -42,7 +44,7 @@ class QuadraticGroup:
         return len(self.a)
 
     def clamp(self, s):
-        return np.broadcast_to(s, self.a.shape).astype(float)
+        return np.clip(s, *self.domain)
 
     def derivative(self, s):
         return 2.0 * (np.asarray(s, dtype=float) - self.a)

@@ -58,10 +58,8 @@ def test_criterion_2_optimality_both_scenarios():
     for name in ("low_pollution", "high_pollution"):
         s = _shipped(name)
         report = scen.run_experiment(s)
-        g_list = s.build_risks()
-        residual = abs(
-            sum(g.derivative(g.clamp(report.final_speed)) for g in g_list)
-        )
+        bank = s.build_risks()
+        residual = abs(np.sum(bank.derivative(bank.clamp(report.final_speed))))
         gap = abs(report.final_speed - report.certificate.s_star)
         ok = ok and residual < 1e-4 and gap < 0.01
         details.append(f"{name}: |sum g'|={residual:.2e}, oracle gap={gap:.2e}")

@@ -265,6 +265,20 @@ class TestBadInput:
         assert main(["run", "--scenario", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field",
+        ["n_agents", "seed", "mu", "consensus_tol", "optimality_tol", "max_iterations"],
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, field):
+        spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
+        (spec["solver"] if field in spec["solver"] else spec)[field] = True
+        with pytest.raises(InvalidSpec, match="True"):
+            scen.run_experiment(scen.generate_scenario(spec))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_solver_key(self, tmp_path, capsys):
         spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
         spec["solver"]["max_iteration"] = 10  # misspelt max_iterations

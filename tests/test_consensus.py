@@ -1,15 +1,17 @@
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from groupspeed import consensus
+from groupspeed import scenario as scen
 from groupspeed.consensus import FORM_AGREEMENT_TOL, SolverConfig
-from groupspeed.errors import DimensionMismatch
+from groupspeed.errors import DimensionMismatch, EmptyDomainIntersection
 from groupspeed.netsim import CompleteTopology, FixedTopology, RandomFailureTopology
 from groupspeed.riskmodel import RiskBank
-from groupspeed.scenario import load_scenario
+from groupspeed.scenario import LOW_POLLUTION_POINTS, load_scenario
 
 from conftest import QuadraticGroup, parabola_points, random_convex_curve
 
@@ -151,16 +153,19 @@ class TestRun:
 
     def test_near_agreement_start_with_clamped_step_converges(self):
         # mu = 24 lies inside the stability interval (0, 31.77) at s* = 14.31.
-        # The first step clamps agents at different domain edges, so the spread
-        # jumps from 1.4e-6 to several km/h; the run still converges, as it does
-        # from exactly equal speeds.
+        # The first step overshoots the common domain, and the clamp puts every
+        # agent on the domain's upper edge, so the spread of 1.4e-6 becomes 0;
+        # the run converges, as it does from exactly equal speeds.
         s = load_scenario(SCENARIOS / "low_pollution.json")
+        bank = s.build_risks()
         config = SolverConfig(mu=24.0, consensus_tol=0.005)
         starts = [np.full(15, 8.0), 8.0 + 1e-7 * np.arange(15)]
-        traces = [consensus.run(s0, s.build_topology(), s.build_risks(), config)
+        traces = [consensus.run(s0, s.build_topology(), bank, config)
                   for s0 in starts]
         assert [t.stop_reason for t in traces] == ["converged", "converged"]
-        assert traces[1].spreads[1] > 1e3 * traces[1].spreads[0]
+        assert traces[1].spreads[0] > 0.0
+        assert traces[1].spreads[1] == 0.0
+        assert np.all(traces[1].speeds[1] == bank.domain[1])
 
     def test_monotone_spread_complete_graph_no_coupling(self):
         rng = np.random.default_rng(3)
@@ -183,6 +188,56 @@ class TestRun:
             runs.append(consensus.run([2.5, 1.5, 3.0], top, g_list, config))
         for s1, s2 in zip(runs[0].speeds, runs[1].speeds):
             np.testing.assert_array_equal(s1, s2)
+
+
+    def test_empty_domain_intersection(self):
+        # speed domains [0.125, 1] and [1.875, 15] do not overlap
+        bank = RiskBank([parabola_points(lo=0.25, hi=2.0)] * 2, [2.0, 30.0])
+        with pytest.raises(EmptyDomainIntersection):
+            consensus.run([1.0, 2.0], CompleteTopology(2), bank, _config())
+
+
+def _low_pollution_report(distances):
+    """run_experiment on identical low-pollution curves at these distances (km)."""
+    spec = scen.BUILTIN_SPECS["low_pollution"] | {
+        "n_agents": len(distances),
+        "curves": {"base_control_points": LOW_POLLUTION_POINTS,
+                   "perturbation_radius": 0.0},
+        "distances": {"values": list(distances)},
+    }
+    return scen.run_experiment(scen.generate_scenario(spec))
+
+
+class TestBoundaryOptimum:
+    """Optima on an edge of the common speed domain, where sum g_i' != 0."""
+
+    def test_pair_stops_on_the_edge_at_once(self):
+        # common domain [12.5, 25]; the first step overshoots 25 and is clamped
+        report = _low_pollution_report([5.0, 40.0])
+        assert report.certificate.at_boundary
+        assert report.certificate.s_star == 25.0
+        assert report.converged
+        assert report.trace.iterations == 1
+        assert report.final_speed == 25.0
+
+    def test_mean_an_ulp_below_the_edge_converges(self):
+        # every speed is clamped to hi = 4.503 / 0.2 = 22.515, yet their mean
+        # rounds below it; the projected step is still 0
+        report = _low_pollution_report([4.503] + [40.0] * 14)
+        assert report.certificate.at_boundary
+        assert report.converged
+        assert np.all(report.trace.final_speeds == report.certificate.s_star)
+        assert report.final_speed == pytest.approx(report.certificate.s_star, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "distances",
+        list(itertools.combinations([5.0, 10.0, 15.0, 20.0, 30.0, 40.0], 2)),
+        ids=lambda d: "%g-%g" % d,
+    )
+    def test_two_agent_pairs_converge_to_the_oracle(self, distances):
+        report = _low_pollution_report(distances)
+        assert report.converged
+        assert report.oracle_gap < 1e-3
 
 
 class TestTraceCsv:

@@ -71,7 +71,7 @@ class TestSignStructure:
     def test_derivative_sum_identity(self, quadratic_pair):
         # sum g_i'(s) == -(1/s^2) sum d_i f_i'(d_i/s)
         bank = quadratic_pair
-        lo, hi = oracle.common_speed_domain(bank)
+        lo, hi = bank.domain
         for s in np.linspace(lo, hi, 200):
             lhs = np.sum(bank.derivative(s))
             rhs = -bank.phi(s) / s**2

@@ -7,6 +7,7 @@ from groupspeed import scenario as scen
 from groupspeed.errors import (
     DegenerateInput,
     DimensionMismatch,
+    EmptyDomainIntersection,
     InteriorMinimumMissing,
     NonConvexFit,
     OutOfDomain,
@@ -345,6 +346,17 @@ class TestRiskBank:
         with pytest.raises(DegenerateInput, match="finite"):
             RiskBank([parabola_points(), points], [1.0, distance])
 
+    def test_empty_bank_has_no_domain(self):
+        with pytest.raises(DegenerateInput, match="empty"):
+            RiskBank([], []).clamp(1.0)
+
+    def test_domain_is_the_intersection(self):
+        bank = _group(ragged=True)
+        assert bank.domain == (np.max(bank.lo), np.min(bank.hi))
+        disjoint = RiskBank([parabola_points(lo=0.25, hi=2.0)] * 2, [2.0, 30.0])
+        with pytest.raises(EmptyDomainIntersection, match="empty"):
+            disjoint.domain
+
     def test_distance_count_must_match_curves(self):
         with pytest.raises(DimensionMismatch):
             RiskBank([parabola_points()] * 2, [2.0])
@@ -365,7 +377,7 @@ class TestRiskBank:
             )
             wide = rng.uniform(bank.lo - 5.0, bank.hi + 5.0)
             assert_array_equal(
-                bank.clamp(wide), [g.clamp(x) for g, x in zip(bank, wide)]
+                bank.clamp(wide), np.clip(wide, np.max(bank.lo), np.min(bank.hi))
             )
         for y in np.linspace(np.max(bank.lo), np.min(bank.hi), 50):
             assert_array_equal(bank.value(y), [g.value(y) for g in bank])
