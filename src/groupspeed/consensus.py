@@ -116,9 +116,9 @@ class SimulationTrace:
         header = "k," + ",".join(f"s_{i + 1}" for i in range(n)) + ",spread,G"
         lines = [header]
         for k, (s, spread, G) in enumerate(
-            zip(self.speeds, self.spreads, self.couplings)
+            zip(self.speeds.tolist(), self.spreads, self.couplings)
         ):
-            vals = ",".join(repr(float(x)) for x in s)
+            vals = ",".join(map(repr, s))
             lines.append(f"{k},{vals},{spread!r},{G!r}")
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

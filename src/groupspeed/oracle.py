@@ -14,10 +14,6 @@ import numpy as np
 
 from .errors import DegenerateInput
 
-# Grid points per evaluation pass. Temporaries of 10^5 floats make the C
-# allocator return and re-fault memory on every call, about 3x the work.
-GRID_BLOCK = 8192
-
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
@@ -89,12 +85,7 @@ def brute_force_verify(bank, s_star, grid=100_000):
         raise DegenerateInput(f"grid must be >= 1000, got {grid}")
     lo, hi = bank.domain
     s = np.linspace(lo, hi, grid)
-    total = np.zeros(grid)
-    for a in range(0, grid, GRID_BLOCK):
-        block = slice(a, a + GRID_BLOCK)
-        for g in bank:  # a curve's searchsorted beats the bank's stacked lookup
-            total[block] += np.asarray(g.value(s[block]), dtype=float)
-    argmin = float(s[int(np.argmin(total))])
+    argmin = float(s[int(np.argmin(bank.total_value(s)))])
     step = (hi - lo) / (grid - 1)
     offset = abs(argmin - s_star)
     return BruteForceReport(

@@ -129,11 +129,15 @@ def _generate(spec):
         raise InvalidSpec(
             f"unsupported schema_version {spec.get('schema_version')!r}"
         )
-    n, seed = _count(spec["n_agents"]), _count(spec["seed"])
+    n = operator.index(_numbers(spec["n_agents"], "n_agents"))
+    seed = operator.index(_numbers(spec["seed"], "seed"))
     curves = spec["curves"]
     distances = spec["distances"]
     speeds = spec["initial_speeds"]
     topology = dict(spec["topology"])
+    for key, value in topology.items():
+        if key not in ("model", "directed"):  # the rest are numbers or edge lists
+            _numbers(value, f"topology {key}")
     solver = dict(spec["solver"])
     if n < 1:
         raise InvalidSpec(f"n_agents must be >= 1, got {n}")
@@ -143,14 +147,17 @@ def _generate(spec):
     rng = np.random.default_rng(seed)
 
     if "per_agent_control_points" in curves:
-        cp = [np.array(pts, dtype=float) for pts in curves["per_agent_control_points"]]
+        per_agent = _numbers(curves["per_agent_control_points"], "control points")
+        cp = [np.array(pts, dtype=float) for pts in per_agent]
         if len(cp) != n:
             raise InvalidSpec(f"{len(cp)} curve sets for {n} agents")
         if any(pts.ndim != 2 or pts.shape[1] != 2 for pts in cp):
             raise InvalidSpec("control points must be (time, risk) pairs")
     elif "base_control_points" in curves:
-        base = [list(map(float, p)) for p in curves["base_control_points"]]
-        radius = float(curves.get("perturbation_radius", 0.1))
+        base = _numbers(curves["base_control_points"], "control points")
+        base = [list(map(float, p)) for p in base]
+        radius = curves.get("perturbation_radius", 0.1)
+        radius = float(_numbers(radius, "perturbation_radius"))
         if not 0.0 <= radius < 1.0:
             raise InvalidSpec(f"perturbation_radius must be in [0, 1), got {radius}")
         # per-agent time-axis stretch moves tipping and breakeven together
@@ -180,23 +187,29 @@ def _generate(spec):
     )
 
 
-def _count(value):
-    """An integer field's value; operator.index alone would take a boolean."""
+def _numbers(value, name):
+    """value as given; InvalidSpec if it, or any entry of a list in it, is a boolean.
+
+    JSON true and false load as bools, which int, float and numpy read as 1 and 0.
+    """
     if isinstance(value, bool):
-        raise InvalidSpec(f"expected an integer, got {value!r}")
-    return operator.index(value)
+        raise InvalidSpec(f"{name}: expected a number, got {value!r}")
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _numbers(v, name)
+    return value
 
 
 def _materialize(rng, field_spec, n, name):
     if "values" in field_spec:
-        vals = np.array([float(v) for v in field_spec["values"]])
+        vals = np.array([float(v) for v in _numbers(field_spec["values"], name)])
         if len(vals) != n:
             raise InvalidSpec(f"{name}: {len(vals)} values for {n} agents")
         if not np.isfinite(vals).all():
             raise InvalidSpec(f"{name}: values must be finite")
         return vals
     if "uniform" in field_spec:
-        lo, hi = field_spec["uniform"]
+        lo, hi = _numbers(field_spec["uniform"], name)
         if not 0 < lo < hi < math.inf:
             raise InvalidSpec(f"{name}: bad uniform range [{lo}, {hi}]")
         return np.array([round(float(v), 6) for v in rng.uniform(lo, hi, n)])
@@ -289,7 +302,7 @@ def _emit_artifacts(report, bank, topology, out_dir, dump_matrices):
 
     ks = list(range(len(trace.speeds)))
     speed_series = [
-        (f"agent {i + 1}" if i < 5 else "", ks, list(trace.speeds[:, i]))
+        (f"agent {i + 1}" if i < 5 else "", ks, trace.speeds[:, i].tolist())
         for i in range(trace.speeds.shape[1])
     ]
     svgchart.write_chart(
@@ -304,10 +317,10 @@ def _emit_artifacts(report, bank, topology, out_dir, dump_matrices):
     for g in bank:
         t_lo, t_hi = g.base.domain
         ts = np.linspace(t_lo, t_hi, 200)
-        time_series.append(("", list(ts), list(g.base.value(ts))))
+        time_series.append(("", ts.tolist(), g.base.value(ts).tolist()))
         s_lo, s_hi = g.speed_domain
         ss = np.linspace(s_lo, min(s_hi, 3.0 * g.minimizer), 200)
-        speed_risk_series.append(("", list(ss), list(g.value(ss))))
+        speed_risk_series.append(("", ss.tolist(), g.value(ss).tolist()))
     svgchart.write_chart(
         os.path.join(out_dir, "risk_vs_time.svg"),
         time_series,

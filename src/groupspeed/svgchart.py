@@ -1,8 +1,10 @@
-"""Minimal dependency-free SVG line charts.
+"""Minimal SVG line charts, written by hand with numpy for the coordinates.
 
 Good enough for convergence traces and risk-curve panels; not a general
 plotting library.
 """
+
+import numpy as np
 
 WIDTH = 640
 HEIGHT = 420
@@ -53,7 +55,7 @@ def line_chart(series, title="", x_label="", y_label=""):
     pw = WIDTH - 2 * MARGIN
     ph = HEIGHT - 2 * MARGIN
 
-    def px(x):
+    def px(x):  # a scalar or an array
         return MARGIN + (x - x_lo) / (x_hi - x_lo) * pw
 
     def py(y):
@@ -104,7 +106,9 @@ def line_chart(series, title="", x_label="", y_label=""):
 
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        coords = zip(px(np.asarray(xs, dtype=float)).tolist(),
+                     py(np.asarray(ys, dtype=float)).tolist())
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.3"/>'

@@ -253,11 +253,7 @@ class TestBadInput:
         ],
     )
     def test_non_numeric_value(self, tmp_path, capsys, path, value):
-        spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
-        node = spec
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        spec = _edited_spec(path, value)
         with pytest.raises(InvalidSpec):
             scen.generate_scenario(spec)
         bad = tmp_path / "bad.json"
@@ -266,17 +262,69 @@ class TestBadInput:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field",
-        ["n_agents", "seed", "mu", "consensus_tol", "optimality_tol", "max_iterations"],
+        "path, value",
+        [
+            *(pytest.param((f,), True, id=f) for f in ("n_agents", "seed")),
+            *(
+                pytest.param(("solver", f), True, id=f)
+                for f in ("mu", "consensus_tol", "optimality_tol", "max_iterations")
+            ),
+            pytest.param(
+                ("topology",),
+                {"model": "random_failure", "link_up_probability": True},
+                id="link_up_probability",
+            ),
+            pytest.param(
+                ("topology",),
+                {"model": "random_failure", "link_up_probability": 0.5, "seed": True},
+                id="topology-seed",
+            ),
+            *(
+                pytest.param(("topology",), {"model": "proximity", f: True}, id=f)
+                for f in ("radius", "route_span", "dt_hours")
+            ),
+            pytest.param(
+                ("topology",), {"model": "fixed", "edges": [[0, 1], [1, True]]},
+                id="edges",
+            ),
+            pytest.param(
+                ("distances",), {"values": [True] + [16.0] * 14}, id="distances-values"
+            ),
+            pytest.param(
+                ("distances",), {"uniform": [True, 20.0]}, id="distances-uniform"
+            ),
+            pytest.param(
+                ("initial_speeds",), {"values": [12.0] * 14 + [True]},
+                id="initial_speeds-values",
+            ),
+            pytest.param(
+                ("initial_speeds",), {"uniform": [True, 15.0]},
+                id="initial_speeds-uniform",
+            ),
+            pytest.param(
+                ("curves",),
+                {"base_control_points": scen.LOW_POLLUTION_POINTS,
+                 "perturbation_radius": True},
+                id="perturbation_radius",
+            ),
+            pytest.param(
+                ("curves", "per_agent_control_points", 0, 0, 1), True,
+                id="control-point",
+            ),
+            pytest.param(
+                ("curves",),
+                {"base_control_points": [[0.2, True]] + scen.LOW_POLLUTION_POINTS[1:]},
+                id="base-control-point",
+            ),
+        ],
     )
-    def test_boolean_is_not_a_number(self, tmp_path, capsys, field):
-        spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
-        (spec["solver"] if field in spec["solver"] else spec)[field] = True
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, path, value):
+        spec = _edited_spec(path, value)
         with pytest.raises(InvalidSpec, match="True"):
             scen.run_experiment(scen.generate_scenario(spec))
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(spec))
-        assert main(["run", "--scenario", str(path)]) == 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        assert main(["run", "--scenario", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_solver_key(self, tmp_path, capsys):
@@ -311,6 +359,16 @@ class TestBadInput:
         path.write_text('{"schema_version": 1,')
         assert main(["run", "--scenario", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _edited_spec(path, value):
+    """The shipped low-pollution spec with the entry at path set to value."""
+    spec = json.loads((SCENARIOS / "low_pollution.json").read_text())
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return spec
 
 
 def test_import_needs_no_scipy():

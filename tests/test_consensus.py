@@ -255,6 +255,18 @@ class TestTraceCsv:
         assert float(first[1]) == 1.0
 
 
+    def test_rows_parse_back_to_the_trace(self, tmp_path):
+        scenario = load_scenario(SCENARIOS / "high_pollution.json")
+        trace = scen.run_experiment(scenario).trace
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(len(trace.speeds)))
+        speeds = np.array([[float(v) for v in row[1:-2]] for row in rows])
+        assert np.array_equal(speeds, trace.speeds)
+        assert [float(row[-2]) for row in rows] == trace.spreads
+        assert [float(row[-1]) for row in rows] == trace.couplings
+
 class TestLureStability:
     def test_quadratic_interval(self):
         g_list = QuadraticGroup([1.0, 3.0])

@@ -13,6 +13,7 @@ from groupspeed.errors import (
     OutOfDomain,
 )
 from groupspeed.riskmodel import (
+    GRID_BLOCK,
     RiskBank,
     SpeedRisk,
     check_quasi_convexity,
@@ -411,6 +412,74 @@ class TestRiskBank:
                     ]
                     assert _raises(bank.phi, y) == any(per_agent)
         assert outcomes == {True, False}
+
+
+def _per_point_total(bank, s):
+    """sum_i bank[i].value(s), added in agent order."""
+    total = np.zeros(len(s))
+    for g in bank:
+        total += g.value(s)
+    return total
+
+
+def _six_and_ten_point_bank():
+    """A bank mixing 6- and 10-point curves, so pieces differ per agent."""
+    rng = np.random.default_rng(31)
+    points = [convex_points(rng, m) for m in (6, 10, 6, 10, 10, 6)]
+    bank = RiskBank(points, [4.0, 5.0, 4.5, 6.0, 5.5, 5.0])
+    assert sorted({len(g.base.control_points) for g in bank}) == [6, 10]
+    return bank
+
+
+class TestTotalValue:
+    @pytest.mark.parametrize(
+        "make_bank",
+        [
+            pytest.param(lambda: _group(ragged=False), id="shipped"),
+            pytest.param(lambda: _group(ragged=True), id="ragged"),
+            pytest.param(_six_and_ten_point_bank, id="six-and-ten"),
+            # d/(d/3.2) rounds above t_hi = 3.2, so the time needs the clip
+            pytest.param(
+                lambda: RiskBank([LOW_POLLUTION_POINTS], [12.806]), id="time-past-t_hi"
+            ),
+        ],
+    )
+    def test_equals_per_point_sum(self, make_bank):
+        bank = make_bank()
+        lo, hi = bank.domain
+        # every d_i/knot inside the domain, and the floats on either side of it
+        at_knots = np.concatenate(
+            [g.distance / np.asarray(g.base.control_points)[:, 0] for g in bank]
+        )
+        at_knots = at_knots[(at_knots >= lo) & (at_knots <= hi)]
+        assert at_knots.size
+        near = [np.nextafter(at_knots, lo), at_knots, np.nextafter(at_knots, hi)]
+        grids = [
+            np.linspace(lo, hi, 2 * GRID_BLOCK + 5),  # ends at the domain ends
+            np.unique(np.concatenate([[lo, hi], *near])),
+            np.array([lo]),
+            np.array([hi, hi]),
+        ]
+        for s in grids:
+            assert np.array_equal(bank.total_value(s), _per_point_total(bank, s))
+        assert bank.total_value(np.array([])).shape == (0,)
+
+    def test_rejects_a_grid_that_is_not_increasing(self):
+        bank = _group(ragged=False)
+        s = np.linspace(*bank.domain, 100)
+        with pytest.raises(DegenerateInput, match="increasing"):
+            bank.total_value(s[::-1])
+        with pytest.raises(DegenerateInput, match="increasing"):
+            bank.total_value(np.append(s, np.nan))
+        with pytest.raises(DegenerateInput, match="increasing"):
+            bank.total_value(s.reshape(10, 10))
+
+    def test_rejects_a_grid_outside_the_domain(self):
+        bank = _group(ragged=False)
+        lo, hi = bank.domain
+        for s in ([np.nextafter(lo, 0.0), hi], [lo, np.nextafter(hi, np.inf)]):
+            with pytest.raises(OutOfDomain):
+                bank.total_value(np.linspace(*s, 100))
 
 
 class TestBuildRisks:
