@@ -220,42 +220,28 @@ class ProximityTopology(TopologySequence):
         return np.nonzero(close)[::-1]  # row i lists the agents i hears
 
 
+MODELS = {
+    "complete": CompleteTopology,
+    "fixed": FixedTopology,
+    "leader_star": LeaderStarTopology,
+    "random_failure": RandomFailureTopology,
+    "proximity": ProximityTopology,
+}
+
+
 def make_topology(spec, n_agents, seed=0):
     """Build a TopologySequence from a scenario topology spec dict.
 
-    Raises InvalidSpec for an unknown model and for any malformed value.
+    The spec's keys other than `model` are the model constructor's keyword
+    arguments, and a `seed` key overrides the `seed` argument. Raises
+    InvalidSpec for an unknown model, a missing or unknown key and any
+    malformed value.
     """
+    params = {"seed": seed} | spec
+    model = params.pop("model", None)
+    if not isinstance(model, str) or model not in MODELS:
+        raise InvalidSpec(f"unknown topology model {model!r}")
     try:
-        return _build_topology(spec, n_agents, seed)
+        return MODELS[model](n_agents, **params)
     except (DegenerateInput, TypeError, ValueError) as exc:
         raise InvalidSpec(f"topology: {exc}") from exc
-
-
-def _build_topology(spec, n_agents, seed):
-    model = spec.get("model")
-    if model == "complete":
-        return CompleteTopology(n_agents, seed=seed)
-    if model == "fixed":
-        if "edges" not in spec:
-            raise InvalidSpec("fixed topology requires an 'edges' list")
-        return FixedTopology(
-            n_agents, spec["edges"], directed=spec.get("directed", False), seed=seed
-        )
-    if model == "leader_star":
-        return LeaderStarTopology(n_agents, seed=seed)
-    if model == "random_failure":
-        if "link_up_probability" not in spec:
-            raise InvalidSpec("random_failure topology requires 'link_up_probability'")
-        base = spec.get("base")  # None means complete base graph
-        return RandomFailureTopology(
-            n_agents, spec["link_up_probability"], base=base, seed=seed
-        )
-    if model == "proximity":
-        return ProximityTopology(
-            n_agents,
-            radius=spec.get("radius", 0.05),
-            route_span=spec.get("route_span", 0.5),
-            dt_hours=spec.get("dt_hours", 1.0 / 360.0),
-            seed=seed,
-        )
-    raise InvalidSpec(f"unknown topology model {model!r}")

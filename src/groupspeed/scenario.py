@@ -6,6 +6,7 @@ perturbation radius, uniform ranges); `generate_scenario` materializes every
 sampled quantity so that saving and reloading reproduces runs byte for byte.
 """
 
+import copy
 import json
 import math
 import operator
@@ -89,8 +90,8 @@ class Scenario:
             "curves": {"per_agent_control_points": curves},
             "distances": {"values": self.distances.tolist()},
             "initial_speeds": {"values": self.initial_speeds.tolist()},
-            "topology": self.topology,
-            "solver": self.solver,
+            "topology": copy.deepcopy(self.topology),
+            "solver": copy.deepcopy(self.solver),
         }
 
     def save(self, path):
@@ -103,8 +104,7 @@ class Scenario:
         return RiskBank(self.control_points, self.distances)
 
     def build_topology(self):
-        seed = self.topology.get("seed", self.seed)
-        return netsim.make_topology(self.topology, self.n_agents, seed=seed)
+        return netsim.make_topology(self.topology, self.n_agents, seed=self.seed)
 
 
 def generate_scenario(spec):
@@ -125,16 +125,15 @@ def generate_scenario(spec):
 def _generate(spec):
     if not isinstance(spec, dict):
         raise InvalidSpec("spec must be a mapping")
-    if spec.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidSpec(
-            f"unsupported schema_version {spec.get('schema_version')!r}"
-        )
+    version = spec.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise InvalidSpec(f"unsupported schema_version {version!r}")
     n = operator.index(_numbers(spec["n_agents"], "n_agents"))
     seed = operator.index(_numbers(spec["seed"], "seed"))
     curves = spec["curves"]
     distances = spec["distances"]
     speeds = spec["initial_speeds"]
-    topology = dict(spec["topology"])
+    topology = copy.deepcopy(dict(spec["topology"]))
     for key, value in topology.items():
         if key not in ("model", "directed"):  # the rest are numbers or edge lists
             _numbers(value, f"topology {key}")
@@ -147,6 +146,7 @@ def _generate(spec):
     rng = np.random.default_rng(seed)
 
     if "per_agent_control_points" in curves:
+        _only(curves, "curves", "per_agent_control_points")
         per_agent = _numbers(curves["per_agent_control_points"], "control points")
         cp = [np.array(pts, dtype=float) for pts in per_agent]
         if len(cp) != n:
@@ -154,6 +154,7 @@ def _generate(spec):
         if any(pts.ndim != 2 or pts.shape[1] != 2 for pts in cp):
             raise InvalidSpec("control points must be (time, risk) pairs")
     elif "base_control_points" in curves:
+        _only(curves, "curves", "base_control_points", "perturbation_radius")
         base = _numbers(curves["base_control_points"], "control points")
         base = [list(map(float, p)) for p in base]
         radius = curves.get("perturbation_radius", 0.1)
@@ -200,8 +201,16 @@ def _numbers(value, name):
     return value
 
 
+def _only(section, name, form, *optional):
+    """InvalidSpec naming the field if `section` has a key beyond its form's."""
+    for key in section:
+        if key != form and key not in optional:
+            raise InvalidSpec(f"{name}: unexpected key {key!r} with {form!r}")
+
+
 def _materialize(rng, field_spec, n, name):
     if "values" in field_spec:
+        _only(field_spec, name, "values")
         vals = np.array([float(v) for v in _numbers(field_spec["values"], name)])
         if len(vals) != n:
             raise InvalidSpec(f"{name}: {len(vals)} values for {n} agents")
@@ -209,6 +218,7 @@ def _materialize(rng, field_spec, n, name):
             raise InvalidSpec(f"{name}: values must be finite")
         return vals
     if "uniform" in field_spec:
+        _only(field_spec, name, "uniform")
         lo, hi = _numbers(field_spec["uniform"], name)
         if not 0 < lo < hi < math.inf:
             raise InvalidSpec(f"{name}: bad uniform range [{lo}, {hi}]")

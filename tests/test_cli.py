@@ -215,6 +215,11 @@ class TestBadInput:
                 id="topology-route_span-inf",
             ),
             pytest.param(
+                "topology", {"model": "proximity", "radus": 0.2}, id="topology-radus"
+            ),
+            pytest.param("topology", {"model": "fixed"}, id="topology-no-edges"),
+            pytest.param("topology", {"model": ["complete"]}, id="topology-model-list"),
+            pytest.param(
                 "distances", {"values": [float("nan")] * 15}, id="distances-nan"
             ),
             pytest.param(
@@ -316,6 +321,7 @@ class TestBadInput:
                 {"base_control_points": [[0.2, True]] + scen.LOW_POLLUTION_POINTS[1:]},
                 id="base-control-point",
             ),
+            pytest.param(("schema_version",), True, id="schema_version"),
         ],
     )
     def test_boolean_is_not_a_number(self, tmp_path, capsys, path, value):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from groupspeed.netsim import (
     RandomFailureTopology,
     make_topology,
 )
+from groupspeed.scenario import BUILTIN_SPECS, generate_scenario
 
 
 def _random_topology(rng):
@@ -280,13 +283,69 @@ class TestMakeTopology:
             make_topology({"model": "proximity", "radius": 0.1}, 4), ProximityTopology
         )
 
-    def test_invalid_specs(self):
-        with pytest.raises(InvalidSpec):
-            make_topology({"model": "mesh"}, 4)
-        with pytest.raises(InvalidSpec):
-            make_topology({"model": "fixed"}, 4)
-        with pytest.raises(InvalidSpec):
-            make_topology({"model": "random_failure"}, 4)
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            pytest.param({"model": "mesh"}, "unknown topology model", id="mesh"),
+            pytest.param({"model": ["complete"]}, "unknown topology model", id="list-model"),
+            pytest.param({"model": None}, "unknown topology model", id="null-model"),
+            pytest.param({"model": "fixed"}, "missing 1 required", id="fixed-no-edges"),
+            pytest.param(
+                {"model": "random_failure"}, "missing 1 required",
+                id="random_failure-no-probability",
+            ),
+            pytest.param(
+                {"model": "proximity", "radus": 0.2}, "unexpected keyword argument 'radus'",
+                id="proximity-radus",
+            ),
+            pytest.param(
+                {"model": "fixed", "edges": [[0, 1]], "directd": True},
+                "unexpected keyword argument 'directd'", id="fixed-directd",
+            ),
+            pytest.param(
+                {"model": "random_failure", "link_up_probability": 0.5, "bse": [[0, 1]]},
+                "unexpected keyword argument 'bse'", id="random_failure-bse",
+            ),
+            pytest.param(
+                {"model": "complete", "directed": False},
+                "unexpected keyword argument 'directed'", id="complete-directed",
+            ),
+        ],
+    )
+    def test_invalid_specs(self, spec, message):
+        with pytest.raises(InvalidSpec, match=message):
+            make_topology(spec, 4)
+
+    def test_omitted_keys_take_the_defaults_and_the_seed_falls_back(self):
+        speeds = np.random.default_rng(0).uniform(10.0, 20.0, (30, 6))
+        for spec, key, default in [
+            ({"model": "fixed", "edges": [[0, 1], [2, 3]]}, "directed", False),
+            ({"model": "random_failure", "link_up_probability": 0.5}, "base", None),
+            ({"model": "proximity"}, "radius", 0.05),
+            ({"model": "proximity"}, "route_span", 0.5),
+            ({"model": "proximity"}, "dt_hours", 1.0 / 360.0),
+        ]:
+            omitted = make_topology(spec, 6, seed=3)
+            explicit = make_topology(spec | {key: default}, 6, seed=3)
+            for k in range(30):
+                for top in (omitted, explicit):
+                    top.record_speeds(k, speeds[k])
+                assert _same_edges(omitted, explicit, k), (spec, key, k)
+
+        spec = copy.deepcopy(BUILTIN_SPECS["low_pollution"])
+        spec["seed"] = 11
+        spec["topology"] = {"model": "random_failure", "link_up_probability": 0.5}
+        fallback = generate_scenario(spec).build_topology()
+        spec["topology"]["seed"] = 12
+        own = generate_scenario(spec).build_topology()
+        assert (fallback.seed, own.seed) == (11, 12)
+        for top in (fallback, own):
+            reference = RandomFailureTopology(15, 0.5, seed=top.seed)
+            assert all(_same_edges(top, reference, k) for k in range(30))
+
+
+def _same_edges(a, b, k):
+    return all(np.array_equal(x, y) for x, y in zip(a.edges(k), b.edges(k), strict=True))
 
 
 @pytest.mark.parametrize(

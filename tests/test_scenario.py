@@ -146,11 +146,72 @@ class TestGenerateScenario:
                 "distances must give 'values' or 'uniform'",
                 id="neither-values-nor-uniform",
             ),
+            pytest.param(
+                lambda spec: spec
+                | {"curves": {"base_control_points": LOW_POLLUTION_POINTS,
+                              "perturbation_radus": 0.0}},
+                "curves: unexpected key 'perturbation_radus'",
+                id="perturbation_radus",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {
+                    "curves": {
+                        "per_agent_control_points": [LOW_POLLUTION_POINTS] * 15,
+                        "perturbation_radius": 0.1,
+                    }
+                },
+                "curves: unexpected key 'perturbation_radius'",
+                id="per-agent-with-radius",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {
+                    "curves": {
+                        "per_agent_control_points": [LOW_POLLUTION_POINTS] * 15,
+                        "base_control_points": LOW_POLLUTION_POINTS,
+                    }
+                },
+                "curves: unexpected key 'base_control_points'",
+                id="both-curve-forms",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {"distances": {"values": [16.0] * 15, "uniform": [15.0, 20.0]}},
+                "distances: unexpected key 'uniform'",
+                id="values-and-uniform",
+            ),
+            pytest.param(
+                lambda spec: spec
+                | {"initial_speeds": {"uniform": [10.0, 15.0], "unit": "km/h"}},
+                "initial_speeds: unexpected key 'unit'",
+                id="uniform-with-unit",
+            ),
         ],
     )
     def test_rejects_invalid_spec(self, edit, message):
         with pytest.raises(InvalidSpec, match=message):
             scen.generate_scenario(edit(low_spec()))
+
+    def test_shares_no_dict_or_list_with_callers(self):
+        spec = low_spec()
+        spec["topology"] = {"model": "fixed", "edges": [[0, 1], [1, 2]]}
+        s = scen.generate_scenario(spec)
+        before = json.dumps(s.to_dict())
+
+        def scribble(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    scribble(value)
+                node["scribbled"] = True
+            elif isinstance(node, list):
+                for value in node:
+                    scribble(value)
+                node.append("scribbled")
+
+        scribble(spec)
+        scribble(s.to_dict())
+        assert json.dumps(s.to_dict()) == before
 
     def test_explicit_values_pass_through(self):
         spec = low_spec(n_agents=2)
