@@ -91,7 +91,6 @@ class SimulationTrace:
     """Record of a consensus run, one row per iteration k = 0..iterations."""
 
     speeds: np.ndarray  # (iterations + 1, n)
-    spreads: list
     couplings: list
     stop_reason: str  # CONVERGED, or why the run stopped without converging
 
@@ -102,6 +101,10 @@ class SimulationTrace:
     @property
     def converged(self):
         return self.stop_reason == CONVERGED
+
+    @property
+    def spreads(self):
+        return np.ptp(self.speeds, axis=1).tolist()
 
     @property
     def final_speeds(self):
@@ -136,12 +139,11 @@ def run(initial_speeds, topology, bank, config):
         raise DimensionMismatch(
             f"{len(s)} initial speeds for {topology.n_agents} agents"
         )
-    speeds, spreads, couplings = [], [], []
+    speeds, couplings = [], []
     for k in range(config.max_iterations + 1):
         spread = float(np.ptp(s))
         G = coupling(bank, s, config.mu)
         speeds.append(s)
-        spreads.append(spread)
         couplings.append(G)
 
         mean = float(np.mean(s))
@@ -156,7 +158,7 @@ def run(initial_speeds, topology, bank, config):
             topology.record_speeds(k, s)
             s = bank.clamp(topology.build_matrix(k) @ s + G)
             continue
-        return SimulationTrace(np.array(speeds), spreads, couplings, reason)
+        return SimulationTrace(np.array(speeds), couplings, reason)
 
 
 @dataclass(frozen=True)

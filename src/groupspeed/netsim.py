@@ -162,9 +162,8 @@ class RandomFailureTopology(TopologySequence):
                 f"link_up_probability must be in [0, 1], got {link_up_probability}"
             )
         self.p = float(link_up_probability)
-        if base is None:
-            base = np.column_stack(np.triu_indices(self.n_agents, 1))
-        low, high = np.sort(self._pairs(base), axis=1).T
+        pairs = np.triu_indices(self.n_agents, 1) if base is None else self._pairs(base).T
+        low, high = np.minimum(*pairs), np.maximum(*pairs)
         # one draw per base edge, repeats included, in sorted (low, high) order
         self._draws = np.sort(low * self.n_agents + high)
 

@@ -161,6 +161,7 @@ class RiskBank(_SpeedRisks):
             raise DimensionMismatch(f"{len(d)} distances for {n} curves")
         self.t_lo, self.t_hi = np.array([c.domain for c in curves]).reshape(-1, 2).T
         self.lo, self.hi = d / self.t_hi, d / self.t_lo
+        self._domain = (float(np.max(self.lo)), float(np.min(self.hi))) if n else None
         pieces = max((len(c._knots) - 1 for c in curves), default=1)
         knots = np.full((n, pieces), np.inf)  # left end of each piece
         coef = np.zeros((4, n, pieces))
@@ -184,11 +185,11 @@ class RiskBank(_SpeedRisks):
         """The common speed domain (max_i lo_i, min_i hi_i), km/h."""
         if not len(self):
             raise DegenerateInput("empty agent list")
-        lo, hi = float(np.max(self.lo)), float(np.min(self.hi))
+        lo, hi = self._domain
         if lo >= hi:
             empty = f"speed domains intersect in [{lo}, {hi}], which is empty"
             raise EmptyDomainIntersection(empty)
-        return lo, hi
+        return self._domain
 
     def clamp(self, s):
         return np.clip(s, *self.domain)
@@ -266,13 +267,15 @@ def fit_risk_curve(control_points):
     knot, which is exact: f'' is linear on each piece. The tipping point is
     the root of the quadratic f' on the piece where f' changes sign.
     """
-    pts = [(float(t), float(r)) for t, r in control_points]
+    pts = np.array(control_points, dtype=float)
     if len(pts) < 4:
         raise DegenerateInput(f"need at least 4 control points, got {len(pts)}")
-    times, risks = np.array(pts).T.copy()
+    if pts.shape != (len(pts), 2):
+        raise DegenerateInput(f"control points must be (time, risk) pairs, got {pts.shape}")
+    times, risks = pts.T
     finite = np.isfinite(times) & np.isfinite(risks)
     if not finite.all():
-        bad = pts[int(np.argmin(finite))]
+        bad = tuple(pts[int(np.argmin(finite))].tolist())
         raise DegenerateInput(f"control points must be finite, got {bad}")
     h = np.diff(times)
     if np.any(times <= 0.0):
@@ -303,7 +306,7 @@ def fit_risk_curve(control_points):
         )
 
     return RiskCurve(
-        control_points=tuple(pts),
+        control_points=tuple(map(tuple, pts.tolist())),
         domain=(t_lo, t_hi),
         tipping_point=tipping,
         breakeven_point=_find_breakeven(times, c, tipping),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import consensus, netsim, oracle, svgchart
-from .errors import InvalidSpec
+from .errors import DegenerateInput, InvalidSpec
 from .riskmodel import RiskBank
 
 SCHEMA_VERSION = 1
@@ -282,7 +282,10 @@ def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
     if max_iters is not None:
         solver["max_iterations"] = max_iters
     if solver.get("mu") is None:
-        solver["mu"] = consensus.auto_mu(bank, certificate.s_star)
+        try:
+            solver["mu"] = consensus.auto_mu(bank, certificate.s_star)
+        except ValueError as exc:  # the group's curvature sum at s* is not positive
+            raise DegenerateInput(f"step gain: {exc}") from exc
     try:
         config = consensus.SolverConfig(**solver)
     except (TypeError, ValueError) as exc:  # an unknown key, or a bad value

@@ -356,6 +356,17 @@ class TestBadInput:
         assert main(args + [flag, value]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nonpositive_curvature_sum(self, tmp_path, capsys):
+        # two 1e-10 km routes: the common domain is narrower than the oracle's
+        # bracket, so s* is its midpoint, where the curvature sum is -8.1e18
+        spec = scen.BUILTIN_SPECS["low_pollution"] | {
+            "n_agents": 2, "distances": {"values": [1e-10, 1e-10]}
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "error: step gain: nonpositive curvature sum" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -377,10 +388,10 @@ def _edited_spec(path, value):
     return spec
 
 
-def test_import_needs_no_scipy():
+def _fresh_interpreter(code):
+    """Standard output of `code` run in a new interpreter that imports this package."""
     src = str(Path(groupspeed.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    code = "import sys, groupspeed; print([m for m in sys.modules if 'scipy' in m])"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -388,4 +399,27 @@ def test_import_needs_no_scipy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_needs_no_scipy():
+    code = "import sys, groupspeed; print([m for m in sys.modules if 'scipy' in m])"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_cli_imports_beyond_numpy():
+    """The modules `import groupspeed.cli` adds to numpy's, on Python 3.11.
+
+    The benchmark times this import in fresh interpreters as set-up, so a new
+    module on this path has to be added here on purpose.
+    """
+    code = (
+        "import sys, numpy; before = set(sys.modules); import groupspeed.cli; "
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if m.split('.')[0] != 'groupspeed'))"
+    )
+    added = [
+        "_json", "argparse", "copy", "dataclasses", "gettext",
+        "json", "json.decoder", "json.encoder", "json.scanner",
+    ]
+    assert _fresh_interpreter(code) == repr(added)

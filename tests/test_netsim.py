@@ -141,6 +141,34 @@ class TestNeighbors:
             for i in range(8):
                 assert a.neighbors(k, i) == b.neighbors(k, i)
 
+    def test_each_form_of_base_draws_its_pairs_in_sorted_order(self):
+        n, p, seed = 9, 0.4, 17
+        complete = [[i, j] for i in range(n) for j in range(i + 1, n)]
+        ring = [(i, (i + 1) % n) for i in range(n)]  # (8, 0) comes reversed
+        bases = {
+            "default": None,
+            "complete": complete,
+            "ring": ring,
+            "reversed": [(b, a) for a, b in ring],
+            "repeats": ring + ring[:3] + [(b, a) for a, b in ring[3:5]],
+        }
+        edges = {}
+        for name, base in bases.items():
+            top = RandomFailureTopology(n, p, base=base, seed=seed)
+            # one draw per pair, as low * n + high, sorted row by row and then overall
+            pairs = complete if base is None else base
+            draws = sorted(min(a, b) * n + max(a, b) for a, b in pairs)
+            assert top._draws.tolist() == draws
+            edges[name] = [top.edges(k) for k in range(30)]
+            for k, (src, dst) in enumerate(edges[name]):
+                up = np.random.default_rng([seed, k]).random(len(draws)) < p
+                links = {divmod(d, n) for d, u in zip(draws, up) if u}
+                links |= {(b, a) for a, b in links}
+                assert sorted(zip(src.tolist(), dst.tolist())) == sorted(links)
+        for a, b in (("default", "complete"), ("ring", "reversed")):
+            for (src_a, dst_a), (src_b, dst_b) in zip(edges[a], edges[b]):
+                assert np.array_equal(src_a, src_b) and np.array_equal(dst_a, dst_b)
+
 
 class TestBuildMatrix:
     def test_complete_n3_all_thirds(self):

@@ -85,6 +85,24 @@ class TestFitRiskCurve:
         with pytest.raises(NonConvexFit):
             fit_risk_curve(pts)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            pytest.param(np.ravel(parabola_points()), id="flat"),
+            pytest.param(np.ones((8, 3)), id="three-columns"),
+            pytest.param(np.array(parabola_points())[:, :, None], id="three-axes"),
+        ],
+    )
+    def test_points_must_be_time_risk_pairs(self, points):
+        with pytest.raises(DegenerateInput, match=r"\(time, risk\) pairs"):
+            fit_risk_curve(points)
+
+    def test_control_points_are_tuples_of_floats(self):
+        curve = fit_risk_curve(np.array(parabola_points()))
+        assert curve.control_points == tuple(parabola_points())
+        assert all(type(p) is tuple for p in curve.control_points)
+        assert all(type(v) is float for p in curve.control_points for v in p)
+
     def test_endpoint_minimum_rejected(self):
         # (t)^2 on [1, 3]: strictly convex but minimized at the left edge
         pts = [(t, t * t) for t in np.linspace(1.0, 3.0, 8)]
@@ -349,14 +367,17 @@ class TestRiskBank:
 
     def test_empty_bank_has_no_domain(self):
         with pytest.raises(DegenerateInput, match="empty"):
+            RiskBank([], []).domain
+        with pytest.raises(DegenerateInput, match="empty"):
             RiskBank([], []).clamp(1.0)
 
     def test_domain_is_the_intersection(self):
         bank = _group(ragged=True)
         assert bank.domain == (np.max(bank.lo), np.min(bank.hi))
         disjoint = RiskBank([parabola_points(lo=0.25, hi=2.0)] * 2, [2.0, 30.0])
-        with pytest.raises(EmptyDomainIntersection, match="empty"):
-            disjoint.domain
+        for _ in range(2):  # on every read
+            with pytest.raises(EmptyDomainIntersection, match="empty"):
+                disjoint.domain
 
     def test_distance_count_must_match_curves(self):
         with pytest.raises(DimensionMismatch):
