@@ -46,6 +46,16 @@ def _cubic(c, z, nu):
     return r
 
 
+class _Gathered:
+    """Row k of `coef` gathered at piece indices j when read: no (4, N) temporary."""
+
+    def __init__(self, coef, j):
+        self.coef, self.j = coef, j
+
+    def __getitem__(self, k):
+        return self.coef[k].take(self.j)
+
+
 @dataclass(frozen=True)
 class RiskCurve:
     """Strictly convex travel-time risk function fitted through control points.
@@ -64,9 +74,11 @@ class RiskCurve:
 
     def _eval(self, t, nu):
         t = _clip(t, *self.domain, "t")
-        # the piece is the number of interior knots at or below t
-        j = np.searchsorted(self._knots[1:-1], t, side="right")
-        return _cubic(self._coef.take(j, axis=1), t - self._knots.take(j), nu)[()]
+        # the piece is the number of interior knots at or below t, counted in
+        # the narrowest integer type that holds it
+        inner = self._knots[1:-1].reshape((-1,) + (1,) * t.ndim)
+        j = (inner <= t).sum(axis=0, dtype=np.min_scalar_type(len(inner)))
+        return _cubic(_Gathered(self._coef, j), t - self._knots.take(j), nu)[()]
 
     def value(self, t):
         return self._eval(t, 0)
@@ -160,6 +172,13 @@ class RiskBank(_SpeedRisks):
         if len(d) != n:
             raise DimensionMismatch(f"{len(d)} distances for {n} curves")
         self.t_lo, self.t_hi = np.array([c.domain for c in curves]).reshape(-1, 2).T
+        # g' and g'' cube the speed: below 2**-340 or above 2**340 km/h, float64
+        # cannot (the scalings by powers of two are exact)
+        far = d[(d < 2.0**-340 * self.t_hi) | (d > 2.0**340 * self.t_lo)]
+        if far.size:
+            raise DegenerateInput(
+                f"distance {far[0]} km puts speeds outside [2**-340, 2**340] km/h"
+            )
         self.lo, self.hi = d / self.t_hi, d / self.t_lo
         self._domain = (float(np.max(self.lo)), float(np.min(self.hi))) if n else None
         pieces = max((len(c._knots) - 1 for c in curves), default=1)
@@ -347,31 +366,42 @@ def check_quasi_convexity(g, samples, seed=0):
 
     Draws `samples` ordered triples u < x < v and checks
     g(x) < max(g(u), g(v)) for each, or g(x) <= max within rounding where the
-    points nearly coincide. Failures are reported, not raised.
+    points nearly coincide. Failures are reported, not raised. The triples are
+    drawn and checked GRID_BLOCK // 3 at a time, with one g.value call per
+    block; drawn block by block, the generator gives the same triples.
     """
     if samples < 3:
         raise DegenerateInput(f"samples must be >= 3, got {samples}")
     lo, hi = g.speed_domain
     rng = np.random.default_rng(seed)
-    triples = rng.uniform(lo, hi, size=(samples, 3))
-    triples.sort(axis=1)
-    # degenerate (tied) triples carry no information
-    distinct = (triples[:, 0] < triples[:, 1]) & (triples[:, 1] < triples[:, 2])
-    if not distinct.all():
-        triples = triples[distinct]
-    gu = g.value(triples[:, 0])
-    gx = g.value(triples[:, 1])
-    gv = g.value(triples[:, 2])
-    top = np.maximum(gu, gv)
-    gap = np.minimum(triples[:, 1] - triples[:, 0], triples[:, 2] - triples[:, 1])
-    close = gap <= QC_SEPARATION * (hi - lo)
-    bad = np.where(close, gx > top + 8 * np.spacing(np.abs(top)), gx >= top)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        u, x, v = triples[i]
-        return QuasiConvexityReport(
-            passed=False,
-            n_triples=len(triples),
-            counterexample=(u, x, v, float(gu[i]), float(gx[i]), float(gv[i])),
-        )
-    return QuasiConvexityReport(passed=True, n_triples=len(triples), counterexample=None)
+    n_triples, counterexample = 0, None
+    block = GRID_BLOCK // 3
+    for start in range(0, samples, block):
+        u, x, v = rng.uniform(lo, hi, size=(min(block, samples - start), 3)).T
+        # sort each triple by three compare-exchanges
+        u, x = np.minimum(u, x), np.maximum(u, x)
+        x, v = np.minimum(x, v), np.maximum(x, v)
+        u, x = np.minimum(u, x), np.maximum(u, x)
+        triples = np.stack([u, x, v])
+        # degenerate (tied) triples carry no information
+        distinct = (u < x) & (x < v)
+        if not distinct.all():
+            triples = triples[:, distinct]
+        n_triples += triples.shape[1]
+        if counterexample is not None:
+            continue
+        gu, gx, gv = g.value(triples)
+        top = np.maximum(gu, gv)
+        # the rare g(x) >= top fail, unless the points nearly coincide and
+        # g(x) exceeds top by no more than rounding
+        bad = np.flatnonzero(gx >= top)
+        if bad.size:
+            u, x, v = triples[:, bad]
+            close = np.minimum(x - u, v - x) <= QC_SEPARATION * (hi - lo)
+            tol = 8 * np.spacing(np.abs(top[bad]))
+            bad = bad[~close | (gx[bad] > top[bad] + tol)]
+        if bad.size:
+            k = bad[0]
+            u, x, v = triples[:, k]
+            counterexample = (u, x, v, float(gu[k]), float(gx[k]), float(gv[k]))
+    return QuasiConvexityReport(counterexample is None, n_triples, counterexample)

@@ -106,9 +106,9 @@ def line_chart(series, title="", x_label="", y_label=""):
 
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = zip(px(np.asarray(xs, dtype=float)).tolist(),
-                     py(np.asarray(ys, dtype=float)).tolist())
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
+        xy = np.column_stack([px(np.asarray(xs, dtype=float)),
+                              py(np.asarray(ys, dtype=float))])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.3"/>'

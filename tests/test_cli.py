@@ -367,6 +367,19 @@ class TestBadInput:
         assert main(["run", "--scenario", str(path)]) == 2
         assert "error: step gain: nonpositive curvature sum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("distance", [1e-300, 1e308])
+    def test_extreme_distance(self, tmp_path, capsys, command, distance):
+        # speeds of ~1e-300 or ~1e308 km/h cannot be cubed in float64; the
+        # error comes before any evaluation, so with no RuntimeWarning
+        spec = scen.BUILTIN_SPECS["low_pollution"] | {
+            "n_agents": 2, "distances": {"values": [distance, distance]}
+        }
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(spec))
+        assert main([command, "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: distance {distance} km")
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err

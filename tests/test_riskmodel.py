@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -14,6 +16,8 @@ from groupspeed.errors import (
 )
 from groupspeed.riskmodel import (
     GRID_BLOCK,
+    QC_SEPARATION,
+    QuasiConvexityReport,
     RiskBank,
     SpeedRisk,
     check_quasi_convexity,
@@ -197,6 +201,31 @@ class TestEval:
         for t, r in LOW_POLLUTION_POINTS:
             assert curve.value(t) == pytest.approx(r, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            pytest.param(np.array(LOW_POLLUTION_POINTS), id="low"),
+            pytest.param(np.array(HIGH_POLLUTION_POINTS), id="high"),
+            *(
+                pytest.param(pts, id=f"ragged-{i}")
+                for i, pts in enumerate(list(reference_curves())[2:10])
+            ),
+            # 298 interior knots: more pieces than an 8-bit index can count
+            pytest.param(convex_points(np.random.default_rng(300), 300), id="300-knots"),
+        ],
+    )
+    def test_array_equals_scalar_calls(self, points):
+        curve = fit_risk_curve(points)
+        knots = points[:, 0]
+        # every knot and the floats either side, so both domain ends too
+        t = np.concatenate([knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)])
+        for f in (curve.value, curve.derivative, curve.second_derivative):
+            array = f(t)
+            assert_array_equal(array, [f(x) for x in t.tolist()])
+            assert_array_equal(f(t.reshape(3, -1)), array.reshape(3, -1))
+        # at a knot the offset into its piece is 0, so the value is the point's
+        assert_array_equal(curve.value(knots[:-1]), points[:-1, 1])
+
 
 class TestEvalDerivative:
     def test_zero_at_minimizer(self, parabola_curve):
@@ -280,6 +309,58 @@ class TestSpeedRisk:
             g.value(g.speed_domain[1] + 1.0)
 
 
+_BLOCK = GRID_BLOCK // 3  # triples per block of check_quasi_convexity
+
+
+class BadComposition:
+    """f(y) = y^2 composed with the non-monotone h(x) = x^2 - x."""
+
+    speed_domain = (0.05, 0.95)
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return (x * x - x) ** 2
+
+
+class TinyDomain:
+    """A parabola on a domain five floats wide, 1 + k 2**-52 for k = 0..4."""
+
+    speed_domain = (1.0, 1.0 + 2.0**-50)
+
+    def value(self, x):
+        return np.square(np.asarray(x, dtype=float) - (1.0 + 2.0**-51))
+
+
+class Steps:
+    """|x - 1/2| in steps of 2**-20 on [0, 1]: strictly quasi-convex, except
+    that points in one step tie, and those lie within QC_SEPARATION."""
+
+    speed_domain = (0.0, 1.0)
+
+    def value(self, x):
+        return np.abs(np.floor(np.asarray(x, dtype=float) * 2.0**20) - 2.0**19)
+
+
+def _whole_array_check(g, samples, seed):
+    """check_quasi_convexity on one draw of every triple, each row sorted."""
+    lo, hi = g.speed_domain
+    triples = np.random.default_rng(seed).uniform(lo, hi, size=(samples, 3))
+    triples.sort(axis=1)
+    distinct = (triples[:, 0] < triples[:, 1]) & (triples[:, 1] < triples[:, 2])
+    triples = triples[distinct]
+    gu, gx, gv = (g.value(triples[:, k]) for k in range(3))
+    top = np.maximum(gu, gv)
+    gap = np.minimum(triples[:, 1] - triples[:, 0], triples[:, 2] - triples[:, 1])
+    close = gap <= QC_SEPARATION * (hi - lo)
+    bad = np.where(close, gx > top + 8 * np.spacing(np.abs(top)), gx >= top)
+    if not bad.any():
+        return QuasiConvexityReport(True, len(triples), None)
+    i = int(np.argmax(bad))
+    u, x, v = triples[i]
+    counterexample = (u, x, v, float(gu[i]), float(gx[i]), float(gv[i]))
+    return QuasiConvexityReport(False, len(triples), counterexample)
+
+
 class TestQuasiConvexity:
     def test_accepted_curves_pass(self, parabola_curve):
         g = SpeedRisk(parabola_curve, 2.0)
@@ -288,14 +369,6 @@ class TestQuasiConvexity:
         assert report.counterexample is None
 
     def test_non_monotone_composition_fails(self):
-        class BadComposition:
-            # f(y) = y^2 composed with non-monotone h(x) = x^2 - x
-            speed_domain = (0.05, 0.95)
-
-            def value(self, x):
-                x = np.asarray(x, dtype=float)
-                return (x * x - x) ** 2
-
         report = check_quasi_convexity(BadComposition(), samples=10_000, seed=5)
         assert not report.passed
         u, x, v, gu, gx, gv = report.counterexample
@@ -306,6 +379,40 @@ class TestQuasiConvexity:
         g = SpeedRisk(parabola_curve, 2.0)
         with pytest.raises(DegenerateInput):
             check_quasi_convexity(g, samples=2)
+
+    def test_ties_of_nearly_coincident_points_are_excused(self):
+        g, samples, seed = Steps(), 100_000, 4
+        triples = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples, 3))
+        gu, gx, gv = (g.value(c) for c in np.sort(triples, axis=1).T)
+        assert np.sum(gx >= np.maximum(gu, gv)) == 1  # one triple ties
+        report = check_quasi_convexity(g, samples, seed=seed)
+        assert report.passed
+        assert report == _whole_array_check(g, samples, seed)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1, 10_000],
+    )
+    def test_blocks_report_as_one_whole_array(self, samples):
+        bank = _group(ragged=True)
+        doubles = [
+            SpeedRisk(fit_risk_curve(LOW_POLLUTION_POINTS), 8.0),
+            SpeedRisk(fit_risk_curve(HIGH_POLLUTION_POINTS), 12.0),
+            bank[0],
+            bank[1],
+            bank[2],
+            BadComposition(),
+            TinyDomain(),
+        ]
+        for seed in range(5):
+            for g in doubles:
+                report = check_quasi_convexity(g, samples, seed=seed)
+                assert report == _whole_array_check(g, samples, seed)
+        if samples > 3:
+            assert not check_quasi_convexity(BadComposition(), samples).passed
+        # most draws on a domain five floats wide tie, and are dropped
+        report = check_quasi_convexity(TinyDomain(), samples)
+        assert report.passed and report.n_triples < samples
 
 
 def _group_spec(ragged):
@@ -364,6 +471,24 @@ class TestRiskBank:
     def test_non_finite_input(self, points, distance):
         with pytest.raises(DegenerateInput, match="finite"):
             RiskBank([parabola_points(), points], [1.0, distance])
+
+    @pytest.mark.parametrize("distance", [1e-300, 1e308])
+    def test_extreme_distance(self, distance):
+        with pytest.raises(DegenerateInput, match=re.escape(f"distance {distance} km")):
+            RiskBank([parabola_points()] * 2, [2.0, distance])
+
+    def test_speeds_from_2_to_the_minus_340_to_2_to_the_340_cube(self):
+        # parabola_points() spans [0.25, 2] h: speeds d/2 to 4d
+        for d, edge in ((2.0**-339, 0.0), (2.0**338, np.inf)):
+            bank = RiskBank([parabola_points()], [d])
+            assert bank.domain == (d / 2.0, d * 4.0)
+            for s in bank.domain:
+                for f in (bank.value, bank.derivative, bank.second_derivative):
+                    assert np.isfinite(f(s)).all()
+                assert 0.0 < abs(bank.second_derivative(s)[0]) < np.inf
+            beyond = float(np.nextafter(d, edge))
+            with pytest.raises(DegenerateInput, match=re.escape(f"distance {beyond} km")):
+                RiskBank([parabola_points()], [beyond])
 
     def test_empty_bank_has_no_domain(self):
         with pytest.raises(DegenerateInput, match="empty"):
