@@ -4,7 +4,7 @@ The averaging part P(k) pulls the speed vector toward agreement while the
 broadcast scalar G(s) = -mu * sum_i g_i'(s_i) steers the agreement value
 toward the aggregate optimum. Speeds are plain float arrays, one per agent.
 Every function takes the group's risks as one evaluator, a `RiskBank`, and
-reads only its per-agent derivatives, curvatures and common-domain clamp.
+reads only its per-agent derivatives, curvatures and common speed domain.
 """
 
 import math
@@ -59,13 +59,18 @@ def coupling(bank, s, mu):
     return -mu * float(np.sum(bank.derivative(_speeds(bank, s))))
 
 
+def _advance(P, s, G, domain):
+    """The update s(k+1) = clamp(P(k) s(k) + G e) onto the common domain."""
+    return np.clip(P @ s + G, *domain)
+
+
 def step(s, P, bank, config):
     """One iteration, s(k+1) = clamp(P(k) s(k) + G(s(k)) e)."""
     s = np.asarray(s, dtype=float)
     P = np.asarray(P, dtype=float)
     if P.shape != (len(s), len(s)):
         raise DimensionMismatch(f"matrix shape {P.shape} vs {len(s)} speeds")
-    return bank.clamp(P @ s + coupling(bank, s, config.mu))
+    return _advance(P, s, coupling(bank, s, config.mu), bank.domain)
 
 
 def step_per_agent(s, topology, k, bank, config):
@@ -132,31 +137,38 @@ def run(initial_speeds, topology, bank, config):
 
     Converged means max spread < consensus_tol and the projected step
     |clamp(mean - sum g_i'(mean)) - mean| < optimality_tol. The trace's
-    stop_reason says which ending it was.
+    stop_reason says which ending it was. One unvalidated g_i' pass per
+    iteration serves the rows (s_i) and (mean): the clamp keeps both in the
+    domain, the mean to within rounding.
     """
-    s = bank.clamp(_speeds(bank, initial_speeds))
+    s = _speeds(bank, initial_speeds)
+    domain = lo, hi = bank.domain
+    s = np.clip(s, lo, hi)
     if len(s) != topology.n_agents:
         raise DimensionMismatch(
             f"{len(s)} initial speeds for {topology.n_agents} agents"
         )
+    rows = np.empty((2, len(s)))
     speeds, couplings = [], []
     for k in range(config.max_iterations + 1):
         spread = float(np.ptp(s))
-        G = coupling(bank, s, config.mu)
+        rows[0] = s
+        rows[1] = mean = float(np.mean(s))
+        slope, slope_at_mean = bank._derivative_in_domain(rows)
+        G = -config.mu * float(slope.sum())
         speeds.append(s)
         couplings.append(G)
 
-        mean = float(np.mean(s))
-        residual = abs(bank.clamp(mean - np.sum(bank.derivative(mean))) - mean)
+        residual = abs(min(max(mean - slope_at_mean.sum(), lo), hi) - mean)
         if spread < config.consensus_tol and residual < config.optimality_tol:
             reason = CONVERGED
         elif k == config.max_iterations:
             reason = f"no convergence within {config.max_iterations} iterations"
-        elif not np.all(np.isfinite(s)):
+        elif not np.isfinite(s).all():
             reason = "non-finite speeds encountered"
         else:
             topology.record_speeds(k, s)
-            s = bank.clamp(topology.build_matrix(k) @ s + G)
+            s = _advance(topology.build_matrix(k), s, G, domain)
             continue
         return SimulationTrace(np.array(speeds), couplings, reason)
 

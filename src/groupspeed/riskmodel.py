@@ -154,10 +154,11 @@ class RiskBank(_SpeedRisks):
 
     Built from each agent's control points and route distance (km). The
     speed-domain methods are SpeedRisk's own, with distance, lo and hi one
-    entry per agent; they take one speed per agent or one common speed and
-    return one result per agent, raising OutOfDomain for the same inputs as
-    SpeedRisk. The knots are one (agents, pieces) array, padded with +inf
-    where a curve has fewer pieces than the longest, which no time reaches.
+    entry per agent; they take one speed per agent (or rows of them) or one
+    common speed and return one result per agent, raising OutOfDomain for the
+    same inputs as SpeedRisk. The knots are one (agents, pieces) array, padded
+    with +inf where a curve has fewer pieces than the longest, which no time
+    reaches.
     bank[i] builds agent i's SpeedRisk on read. `clamp` projects onto `domain`,
     and `total_value` sums the group's risks on a speed grid inside it.
     """
@@ -214,10 +215,17 @@ class RiskBank(_SpeedRisks):
         return np.clip(s, *self.domain)
 
     def _f(self, t, nu):
-        """nu-th derivative of each agent's f_i at its own travel time t_i."""
-        t = _clip(t, self.t_lo, self.t_hi, "t")
-        j = self._first + (self._inner <= t[:, None]).sum(axis=1)
+        """nu-th derivative of each agent's f_i at its own time t_i, in rows of n."""
+        return self._pieces(_clip(t, self.t_lo, self.t_hi, "t"), nu)
+
+    def _pieces(self, t, nu):
+        j = self._first + (self._inner <= t[..., None]).sum(axis=-1)
         return _cubic(self._coef.take(j, axis=1), t - self._left.take(j), nu)
+
+    def _derivative_in_domain(self, s):
+        """`derivative` on rows of speeds inside `domain`: no check, d/s clipped."""
+        d = self.distance
+        return -(d / (s * s)) * self._pieces(np.clip(d / s, self.t_lo, self.t_hi), 1)
 
     def phi(self, s):
         """phi(s) = sum_i d_i f_i'(d_i/s) at one common speed s."""

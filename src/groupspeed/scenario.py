@@ -74,7 +74,7 @@ class Scenario:
     label: str
     seed: int
     n_agents: int
-    control_points: list  # one (m_i, 2) float array of (hours, risk) per agent
+    control_points: list | np.ndarray  # a sequence of (m_i, 2) arrays: (hours, risk)
     distances: np.ndarray  # km
     initial_speeds: np.ndarray  # km/h
     topology: dict
@@ -153,6 +153,7 @@ def _generate(spec):
             raise InvalidSpec(f"{len(cp)} curve sets for {n} agents")
         if any(pts.ndim != 2 or pts.shape[1] != 2 for pts in cp):
             raise InvalidSpec("control points must be (time, risk) pairs")
+        cp = [_by_time(pts) for pts in cp]
     elif "base_control_points" in curves:
         _only(curves, "curves", "base_control_points", "perturbation_radius")
         base = _numbers(curves["base_control_points"], "control points")
@@ -162,17 +163,13 @@ def _generate(spec):
         if not 0.0 <= radius < 1.0:
             raise InvalidSpec(f"perturbation_radius must be in [0, 1), got {radius}")
         # per-agent time-axis stretch moves tipping and breakeven together
-        scales = rng.uniform(1.0 - radius, 1.0 + radius, n)
-        cp = [
-            np.array([[round(t * float(c), 6), r] for t, r in base])
-            for c in scales
-        ]
+        scales = rng.uniform(1.0 - radius, 1.0 + radius, n).tolist()
+        # Python's round per value: np.round can differ in the last digit
+        cp = [[[round(t * c, 6), r] for t, r in base] for c in scales]
+        cp = _by_time(np.array(cp).reshape(n, len(base), 2))  # one (n, m, 2) array
     else:
         raise InvalidSpec("curves must give base_control_points or per_agent_control_points")
 
-    if not all(np.isfinite(pts).all() for pts in cp):
-        raise InvalidSpec("control points must be finite")
-    cp = [pts[np.lexsort(pts.T[::-1])] for pts in cp]  # by time, then risk
     dist = _materialize(rng, distances, n, "distances")
     init = _materialize(rng, speeds, n, "initial_speeds")
 
@@ -186,6 +183,14 @@ def _generate(spec):
         topology=topology,
         solver=solver,
     )
+
+
+def _by_time(pts):
+    """Control points sorted by time, then risk, along the second-last axis."""
+    if not np.isfinite(pts).all():
+        raise InvalidSpec("control points must be finite")
+    order = np.lexsort((pts[..., 1], pts[..., 0]))
+    return np.take_along_axis(pts, order[..., None], axis=-2)
 
 
 def _numbers(value, name):

@@ -49,5 +49,7 @@ class QuadraticGroup:
     def derivative(self, s):
         return 2.0 * (np.asarray(s, dtype=float) - self.a)
 
+    _derivative_in_domain = derivative
+
     def second_derivative(self, s):
         return np.full(len(self.a), 2.0)

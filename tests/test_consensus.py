@@ -14,6 +14,7 @@ from groupspeed.riskmodel import RiskBank
 from groupspeed.scenario import LOW_POLLUTION_POINTS, load_scenario
 
 from conftest import QuadraticGroup, parabola_points, random_convex_curve
+from test_advisory import GROUPS as ADVISORY_GROUPS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -266,6 +267,80 @@ class TestTraceCsv:
         assert np.array_equal(speeds, trace.speeds)
         assert [float(row[-2]) for row in rows] == trace.spreads
         assert [float(row[-1]) for row in rows] == trace.couplings
+
+
+def _public_run(initial_speeds, topology, bank, config):
+    """`consensus.run` written with the public, validating calls only.
+
+    Returns the speeds, couplings and stop reason.
+    """
+    s = bank.clamp(np.asarray(initial_speeds, dtype=float))
+    speeds, couplings = [], []
+    for k in range(config.max_iterations + 1):
+        speeds.append(s)
+        couplings.append(consensus.coupling(bank, s, config.mu))
+        mean = float(np.mean(s))
+        residual = abs(bank.clamp(mean - np.sum(bank.derivative(mean))) - mean)
+        if np.ptp(s) < config.consensus_tol and residual < config.optimality_tol:
+            reason = consensus.CONVERGED
+        elif k == config.max_iterations:
+            reason = f"no convergence within {config.max_iterations} iterations"
+        elif not np.all(np.isfinite(s)):
+            reason = "non-finite speeds encountered"
+        else:
+            topology.record_speeds(k, s)
+            s = consensus.step(s, topology.build_matrix(k), bank, config)
+            continue
+        return np.array(speeds), couplings, reason
+
+
+def _assert_same_trace(trace, public):
+    speeds, couplings, reason = public
+    assert trace.stop_reason == reason
+    assert trace.speeds.tobytes() == speeds.tobytes()
+    assert np.array(trace.couplings).tobytes() == np.array(couplings).tobytes()
+
+
+PROXIMITY = {"n_agents": 12, "topology": {"model": "proximity", "radius": 0.2}}
+
+
+def _scenario(name):
+    """A shipped scenario, a group of test_advisory.py, or a proximity group."""
+    if name in scen.BUILTIN_SPECS:
+        return load_scenario(SCENARIOS / f"{name}.json")
+    profile, edits = ADVISORY_GROUPS.get(name, ("low_pollution", PROXIMITY))
+    return scen.generate_scenario(scen.BUILTIN_SPECS[profile] | edits)
+
+
+class TestRunIsThePublicStep:
+    """run's one g' pass per iteration gives the public calls' trace, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name", [*scen.BUILTIN_SPECS, *ADVISORY_GROUPS, "low-proximity"]
+    )
+    def test_advisories(self, name):
+        scenario = _scenario(name)
+        report = scen.run_experiment(scenario)
+        config = SolverConfig(**(scenario.solver | {"mu": report.mu}))
+        public = _public_run(
+            scenario.initial_speeds, scenario.build_topology(), scenario.build_risks(),
+            config,
+        )
+        _assert_same_trace(report.trace, public)
+
+    @pytest.mark.parametrize(
+        "start, mu", [([1.0, 1.1], 1e300), ([1.0, np.nan], 0.1)],
+        ids=["overflow", "nan-start"],
+    )
+    def test_non_finite_speeds(self, start, mu):
+        traces = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (consensus.run, _public_run):
+                traces.append(run(start, CompleteTopology(2), QuadraticGroup([0, 0]),
+                                  _config(mu=mu)))
+        assert traces[0].stop_reason == "non-finite speeds encountered"
+        _assert_same_trace(*traces)
+
 
 class TestLureStability:
     def test_quadratic_interval(self):

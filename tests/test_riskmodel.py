@@ -535,6 +535,34 @@ class TestRiskBank:
             terms = [g.distance * g.base.derivative(g.distance / y) for g in bank]
             assert bank.phi(y) == np.sum(terms)
 
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_a_stack_of_rows_equals_one_call_per_row(self, ragged):
+        bank = _group(ragged)
+        lo, hi = bank.domain
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            # the speeds s_i, each in its own domain, and one common speed
+            s, y = rng.uniform(bank.lo, bank.hi), rng.uniform(lo, hi)
+            rows = np.stack([s, np.full(len(bank), y)])
+            expected = np.stack([bank.derivative(s), bank.derivative(y)])
+            assert bank.derivative(rows).tobytes() == expected.tobytes()
+            assert bank._derivative_in_domain(rows).tobytes() == expected.tobytes()
+
+    def test_a_stack_raises_where_a_row_raises(self):
+        bank = _group(ragged=True)
+        mid = 0.5 * (bank.lo + bank.hi)
+        outcomes = set()
+        for i in (0, len(bank) - 1):
+            for edge, side in ((bank.lo[i], -1.0), (bank.hi[i], 1.0)):
+                for offset in (0.0, 0.5e-12, 2e-12, 1e-6):
+                    s = mid.copy()
+                    s[i] = edge + side * offset
+                    raised = _raises(bank.derivative, s)
+                    for rows in (np.stack([s, mid]), np.stack([mid, s])):
+                        assert _raises(bank.derivative, rows) == raised
+                    outcomes.add(raised)
+        assert outcomes == {True, False}
+
     def test_out_of_domain_exactly_where_per_agent_raises(self):
         bank = _group(ragged=True)
         mid = 0.5 * (bank.lo + bank.hi)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 from groupspeed import scenario as scen
 from groupspeed.errors import InvalidSpec
 from groupspeed.scenario import LOW_POLLUTION_POINTS
+
+from conftest import random_convex_points
 
 
 def low_spec(**overrides):
@@ -220,6 +223,47 @@ class TestGenerateScenario:
         s = scen.generate_scenario(spec)
         assert np.array_equal(s.distances, [16.0, 18.0])
         assert np.array_equal(s.initial_speeds, [11.0, 12.0])
+
+    def test_base_curve_group_is_one_array(self, tmp_path):
+        # unsorted points, two of them at one time: sorted by time, then risk
+        base = [[0.5333, 0.9], *LOW_POLLUTION_POINTS[::-1]]
+        spec = low_spec()
+        spec["curves"]["base_control_points"] = base
+        s = scen.generate_scenario(spec)
+        assert isinstance(s.control_points, np.ndarray)
+        assert s.control_points.shape == (15, 11, 2)
+        # the same group as a list of arrays: one time stretch per agent, the
+        # seed's first draw, and Python's round per value
+        scales = np.random.default_rng(spec["seed"]).uniform(0.9, 1.1, 15)
+        curves = [
+            np.array([[round(t * float(c), 6), r] for t, r in base]) for c in scales
+        ]
+        reference = dataclasses.replace(
+            s, control_points=[pts[np.lexsort(pts.T[::-1])] for pts in curves]
+        )
+        assert json.dumps(s.to_dict()) == json.dumps(reference.to_dict())
+        s.save(tmp_path / "stacked.json")
+        reference.save(tmp_path / "list.json")
+        saved = (tmp_path / "stacked.json").read_bytes()
+        assert saved == (tmp_path / "list.json").read_bytes()
+        first = s.control_points[0]
+        assert first[1].tolist() == [round(0.5333 * scales[0], 6), 0.6754]
+        assert first[2].tolist() == [round(0.5333 * scales[0], 6), 0.9]
+
+    def test_ragged_per_agent_curves_load_and_run(self, tmp_path):
+        rng = np.random.default_rng(6)
+        curves = [random_convex_points(rng, n_pts=m) for m in (4, 12, 7, 9)]
+        spec = low_spec(n_agents=4)
+        spec["curves"] = {"per_agent_control_points": curves}
+        s = scen.generate_scenario(spec)
+        assert [pts.shape for pts in s.control_points] == [
+            (4, 2), (12, 2), (7, 2), (9, 2)
+        ]
+        path = tmp_path / "ragged.json"
+        s.save(path)
+        reloaded = scen.load_scenario(path)
+        assert reloaded.to_dict() == s.to_dict()
+        assert scen.run_experiment(reloaded).converged
 
 
 class TestRunExperiment:
