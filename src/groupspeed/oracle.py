@@ -41,7 +41,6 @@ def solve_common_speed(bank, tol=1e-8):
         return _certificate(bank, s_star, bracket=hi - lo, at_boundary=True)
 
     a, b = lo, hi
-    fa = f_lo
     while b - a > tol:
         m = 0.5 * (a + b)
         if m <= a or m >= b:
@@ -50,10 +49,8 @@ def solve_common_speed(bank, tol=1e-8):
         if fm == 0.0:
             a = b = m
             break
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
+        # phi decreases: the root lies below a negative phi(m), above a positive
+        a, b = (a, m) if fm < 0.0 else (m, b)
     return _certificate(bank, 0.5 * (a + b), bracket=b - a, at_boundary=False)
 
 

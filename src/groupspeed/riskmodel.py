@@ -9,6 +9,7 @@ it has SpeedRisk's speed-domain methods and the group's common speed domain.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -25,35 +26,40 @@ _DOMAIN_SLACK = 1e-12
 
 def _clip(x, lo, hi, name):
     """x clipped into [lo, hi]; OutOfDomain beyond the rounding slack."""
-    x = np.asarray(x, dtype=float)
-    if (x < lo - _DOMAIN_SLACK).any() or (x > hi + _DOMAIN_SLACK).any():
+    x = np.asarray(x, dtype=float)[()]  # one float is a numpy scalar from here on
+    if np.count_nonzero((x < lo - _DOMAIN_SLACK) | (x > hi + _DOMAIN_SLACK)):
         raise OutOfDomain(f"{name}={x} outside [{lo}, {hi}]")
-    return np.clip(x, lo, hi)
+    return np.minimum(np.maximum(x, lo), hi)  # np.clip, without its wrapper
 
 
 def _cubic(c, z, nu):
-    """The nu-th derivative of c[0] z^3 + c[1] z^2 + c[2] z + c[3], by Horner."""
+    """The nu-th derivative of c0 z^3 + c1 z^2 + c2 z + c3; c yields c0, c1, ..."""
+    c = iter(c)
     if nu == 2:
-        return 6.0 * c[0] * z + 2.0 * c[1]
+        return 6.0 * next(c) * z + 2.0 * next(c)
     if nu == 1:
-        return (3.0 * c[0] * z + 2.0 * c[1]) * z + c[2]
-    r = c[0] * z  # in place from here on: value arrays run to 10^5 points
-    r += c[1]
+        return (3.0 * next(c) * z + 2.0 * next(c)) * z + next(c)
+    r = next(c) * z  # in place from here on: value arrays run to 10^5 points
+    r += next(c)
     r *= z
-    r += c[2]
+    r += next(c)
     r *= z
-    r += c[3]
+    r += next(c)
     return r
 
 
-class _Gathered:
-    """Row k of `coef` gathered at piece indices j when read: no (4, N) temporary."""
+def _piecewise(left, coef, inner, first, t, nu):
+    """The nu-th derivative at times t of the cubics in a piece table.
 
-    def __init__(self, coef, j):
-        self.coef, self.j = coef, j
-
-    def __getitem__(self, k):
-        return self.coef[k].take(self.j)
+    Row r is one curve: left[r, j] is piece j's left knot (+inf past the last
+    piece), and coef[:, k], k = r * width + j, its cubic in t - left[r, j]. A
+    time's k is `first` (np.intp), its row's k for j = 0, plus the count of
+    the row's `inner` knots (along axis 0) at or below the time.
+    """
+    inner = inner[(slice(None),) + (None,) * (t.ndim + 1 - inner.ndim)]
+    count = np.uint8 if len(inner) < 256 else np.intp
+    j = first + np.add.reduce(inner <= t, axis=0, dtype=count)
+    return _cubic(map(np.ndarray.take, coef, repeat(j)), t - left.take(j), nu)
 
 
 @dataclass(frozen=True)
@@ -61,24 +67,21 @@ class RiskCurve:
     """Strictly convex travel-time risk function fitted through control points.
 
     Units: hours on the time axis, dimensionless relative risk on the value
-    axis. Immutable after construction. Piece j is the cubic
-    coef[:, j] in (t - knots[j]) on [knots[j], knots[j + 1]].
+    axis. Immutable after construction. Its cubics are one row of a piece
+    table (`_piecewise`): its own from `fit_risk_curve`, or a view of row i
+    of a RiskBank's from `bank[i]`.
     """
 
     control_points: tuple
     domain: tuple  # (t_lo, t_hi), hours
     tipping_point: float  # interior global minimizer, hours
     breakeven_point: float | None  # first t > tipping where risk regains f(t_lo)
-    _knots: np.ndarray = field(repr=False, compare=False)
-    _coef: np.ndarray = field(repr=False, compare=False)  # (4, pieces)
+    _left: np.ndarray = field(repr=False, compare=False)  # (width,)
+    _coef: np.ndarray = field(repr=False, compare=False)  # (4, width)
 
     def _eval(self, t, nu):
         t = _clip(t, *self.domain, "t")
-        # the piece is the number of interior knots at or below t, counted in
-        # the narrowest integer type that holds it
-        inner = self._knots[1:-1].reshape((-1,) + (1,) * t.ndim)
-        j = (inner <= t).sum(axis=0, dtype=np.min_scalar_type(len(inner)))
-        return _cubic(_Gathered(self._coef, j), t - self._knots.take(j), nu)[()]
+        return _piecewise(self._left, self._coef, self._left[1:], np.intp(0), t, nu)[()]
 
     def value(self, t):
         return self._eval(t, 0)
@@ -150,17 +153,15 @@ class SpeedRisk(_SpeedRisks):
 
 
 class RiskBank(_SpeedRisks):
-    """A group's fitted risks stacked row by row; each method is one numpy pass.
+    """A group's fitted risks in one piece table; each method is one numpy pass.
 
-    Built from each agent's control points and route distance (km). The
-    speed-domain methods are SpeedRisk's own, with distance, lo and hi one
-    entry per agent; they take one speed per agent (or rows of them) or one
-    common speed and return one result per agent, raising OutOfDomain for the
-    same inputs as SpeedRisk. The knots are one (agents, pieces) array, padded
-    with +inf where a curve has fewer pieces than the longest, which no time
-    reaches.
-    bank[i] builds agent i's SpeedRisk on read. `clamp` projects onto `domain`,
-    and `total_value` sums the group's risks on a speed grid inside it.
+    Built from each agent's control points and route distance (km); row i of
+    the table holds agent i's cubics. The speed-domain methods are SpeedRisk's
+    own, with distance, lo, hi and minimizer one entry per agent; they take one
+    speed per agent (or rows of them) or one common speed and return one result
+    per agent, raising OutOfDomain for the same inputs as SpeedRisk. bank[i]
+    builds agent i's SpeedRisk on read, over a view of row i. `clamp` projects
+    onto `domain`, and `total_value` sums the group's risks on a grid inside it.
     """
 
     def __init__(self, control_points, distances):
@@ -168,7 +169,7 @@ class RiskBank(_SpeedRisks):
         bad = d[~(np.isfinite(d) & (d > 0.0))]
         if bad.size:
             raise DegenerateInput(f"distance must be finite and positive, got {bad[0]}")
-        curves = self._curves = tuple(fit_risk_curve(pts) for pts in control_points)
+        curves = [fit_risk_curve(pts) for pts in control_points]
         n = len(curves)
         if len(d) != n:
             raise DimensionMismatch(f"{len(d)} distances for {n} curves")
@@ -182,23 +183,30 @@ class RiskBank(_SpeedRisks):
             )
         self.lo, self.hi = d / self.t_hi, d / self.t_lo
         self._domain = (float(np.max(self.lo)), float(np.min(self.hi))) if n else None
-        pieces = max((len(c._knots) - 1 for c in curves), default=1)
-        knots = np.full((n, pieces), np.inf)  # left end of each piece
-        coef = np.zeros((4, n, pieces))
-        for row, c in enumerate(curves):
-            m = len(c._knots) - 1
-            knots[row, :m] = c._knots[:-1]
-            coef[:, row, :m] = c._coef
-        self._left = knots.ravel()
-        self._inner = knots[:, 1:]
-        self._coef = coef.reshape(4, -1)
-        self._first = np.arange(n) * pieces  # flat index of piece 0
+        # the fits' one-row tables, stacked and padded to the longest row
+        pieces = np.array([c._left.size for c in curves], dtype=int)
+        filled = np.arange(pieces.max(initial=1)) < pieces[:, None]  # (n, width)
+        left, coef = np.full(filled.shape, np.inf), np.zeros((4, *filled.shape))
+        if n:
+            left[filled] = np.concatenate([c._left for c in curves])
+            coef[:, filled] = np.hstack([c._coef for c in curves])
+        # the interior knots again, contiguous knot by knot: compared faster than a view
+        first = np.arange(n) * filled.shape[1]
+        self._table = left, coef.reshape(4, -1), np.ascontiguousarray(left.T[1:]), first
+        # each agent's RiskCurve: its fields and views of its table row, unpadded
+        rows = zip(curves, left, coef.swapaxes(0, 1), pieces)
+        self._rows = [(c.control_points, c.domain, c.tipping_point, c.breakeven_point,
+                       knots[:m], cubics[:, :m]) for c, knots, cubics, m in rows]
 
     def __len__(self):
-        return len(self._curves)
+        return len(self._rows)
 
     def __getitem__(self, i):
-        return SpeedRisk(self._curves[i], float(self.distance[i]))
+        return SpeedRisk(RiskCurve(*self._rows[i]), float(self.distance[i]))
+
+    @property
+    def minimizer(self):
+        return self.distance / np.array([tipping for _, _, tipping, *_ in self._rows])
 
     @property
     def domain(self):
@@ -216,16 +224,13 @@ class RiskBank(_SpeedRisks):
 
     def _f(self, t, nu):
         """nu-th derivative of each agent's f_i at its own time t_i, in rows of n."""
-        return self._pieces(_clip(t, self.t_lo, self.t_hi, "t"), nu)
-
-    def _pieces(self, t, nu):
-        j = self._first + (self._inner <= t[..., None]).sum(axis=-1)
-        return _cubic(self._coef.take(j, axis=1), t - self._left.take(j), nu)
+        return _piecewise(*self._table, _clip(t, self.t_lo, self.t_hi, "t"), nu)
 
     def _derivative_in_domain(self, s):
         """`derivative` on rows of speeds inside `domain`: no check, d/s clipped."""
         d = self.distance
-        return -(d / (s * s)) * self._pieces(np.clip(d / s, self.t_lo, self.t_hi), 1)
+        t = np.minimum(np.maximum(d / s, self.t_lo), self.t_hi)
+        return -(d / (s * s)) * _piecewise(*self._table, t, 1)
 
     def phi(self, s):
         """phi(s) = sum_i d_i f_i'(d_i/s) at one common speed s."""
@@ -249,14 +254,14 @@ class RiskBank(_SpeedRisks):
         for start in range(0, len(s), GRID_BLOCK):
             block = s[start:start + GRID_BLOCK]
             out = total[start:start + GRID_BLOCK][::-1]  # by increasing time
-            for c, d in zip(self._curves, self.distance):
+            for d, (_, (t_lo, t_hi), _, _, left, coef) in zip(self.distance, self._rows):
                 t = d / block
-                t = np.clip(t, *c.domain, out=t)[::-1]
-                # piece j holds the times from knot j up to knot j + 1
-                ends = [0, *np.searchsorted(t, c._knots[1:-1]).tolist(), len(t)]
+                t = np.clip(t, t_lo, t_hi, out=t)[::-1]
+                # piece j holds the times from its left knot up to the next
+                ends = [0, *np.searchsorted(t, left[1:]).tolist(), len(t)]
                 for j, (a, b) in enumerate(zip(ends, ends[1:])):
                     if a < b:
-                        out[a:b] += _cubic(c._coef[:, j], t[a:b] - c._knots[j], 0)
+                        out[a:b] += _cubic(coef[:, j], t[a:b] - left[j], 0)
         return total
 
 
@@ -337,7 +342,7 @@ def fit_risk_curve(control_points):
         domain=(t_lo, t_hi),
         tipping_point=tipping,
         breakeven_point=_find_breakeven(times, c, tipping),
-        _knots=times,
+        _left=times[:-1].copy(),  # contiguous: times is a column of pts
         _coef=c,
     )
 

@@ -318,11 +318,9 @@ def _emit_artifacts(report, bank, topology, out_dir, dump_matrices):
     trace = report.trace
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
 
-    ks = list(range(len(trace.speeds)))
-    speed_series = [
-        (f"agent {i + 1}" if i < 5 else "", ks, trace.speeds[:, i].tolist())
-        for i in range(trace.speeds.shape[1])
-    ]
+    ks = np.arange(len(trace.speeds))
+    speed_series = [(f"agent {i + 1}" if i < 5 else "", ks, speeds)
+                    for i, speeds in enumerate(trace.speeds.T)]
     svgchart.write_chart(
         os.path.join(out_dir, "speeds.svg"),
         speed_series,
@@ -331,14 +329,11 @@ def _emit_artifacts(report, bank, topology, out_dir, dump_matrices):
         y_label="recommended speed (km/h)",
     )
 
-    time_series, speed_risk_series = [], []
-    for g in bank:
-        t_lo, t_hi = g.base.domain
-        ts = np.linspace(t_lo, t_hi, 200)
-        time_series.append(("", ts.tolist(), g.base.value(ts).tolist()))
-        s_lo, s_hi = g.speed_domain
-        ss = np.linspace(s_lo, min(s_hi, 3.0 * g.minimizer), 200)
-        speed_risk_series.append(("", ss.tolist(), g.value(ss).tolist()))
+    # one bank call per panel: column i of each (200, n) grid is agent i's
+    ts = np.linspace(bank.t_lo, bank.t_hi, 200)
+    ss = np.linspace(bank.lo, np.minimum(bank.hi, 3.0 * bank.minimizer), 200)
+    time_series = [("", t, f) for t, f in zip(ts.T, bank._f(ts, 0).T)]
+    speed_risk_series = [("", s, g) for s, g in zip(ss.T, bank.value(ss).T)]
     svgchart.write_chart(
         os.path.join(out_dir, "risk_vs_time.svg"),
         time_series,

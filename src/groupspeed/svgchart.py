@@ -17,8 +17,6 @@ _PALETTE = [
 
 
 def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     return [lo + span * i / (n - 1) for i in range(n)]
 
@@ -41,10 +39,10 @@ def line_chart(series, title="", x_label="", y_label=""):
 
     series: list of (label, xs, ys); labels may be empty to skip the legend.
     """
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    xs_all = np.concatenate([xs for _, xs, _ in series])
+    ys_all = np.concatenate([ys for _, _, ys in series])
+    x_lo, x_hi = xs_all.min(), xs_all.max()
+    y_lo, y_hi = ys_all.min(), ys_all.max()
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

@@ -60,6 +60,47 @@ class TestSolveCommonSpeed:
             oracle.solve_common_speed(RiskBank([], []))
 
 
+class LinearPhi:
+    """Test double for a RiskBank: phi(s) = sum_i (a_i - s) on [12.5, 30].
+
+    phi decreases through its root mean(a_i). derivative and distance serve
+    the certificate only.
+    """
+
+    domain = (12.5, 30.0)
+
+    def __init__(self, a):
+        self.a = np.array(a, dtype=float)
+        self.distance = np.ones(len(self.a))
+
+    def __len__(self):
+        return len(self.a)
+
+    def phi(self, s):
+        return float(np.sum(self.a - s))
+
+    def derivative(self, s):
+        return (s - self.a) / (s * s)
+
+
+class TestRootOnTheDomain:
+    """The bisection keeps the half where phi changes sign, even at an end."""
+
+    @pytest.mark.parametrize(
+        "a, root",
+        [
+            pytest.param([12.5, 12.5], 12.5, id="root-at-lo"),
+            pytest.param([15.0, 20.0], 17.5, id="root-inside"),
+            pytest.param([30.0, 30.0], 30.0, id="root-at-hi"),
+        ],
+    )
+    def test_finds_the_root(self, a, root):
+        cert = oracle.solve_common_speed(LinearPhi(a), tol=1e-8)
+        assert abs(cert.s_star - root) <= 1e-8
+        assert cert.bracket <= 1e-8
+        assert not cert.at_boundary
+
+
 class TestSignStructure:
     def test_phi_decreasing_through_root(self, quadratic_pair):
         cert = oracle.solve_common_speed(quadratic_pair, tol=1e-10)

@@ -20,6 +20,7 @@ from groupspeed.riskmodel import (
     QuasiConvexityReport,
     RiskBank,
     SpeedRisk,
+    _not_a_knot,
     check_quasi_convexity,
     fit_risk_curve,
 )
@@ -654,6 +655,115 @@ class TestTotalValue:
         for s in ([np.nextafter(lo, 0.0), hi], [lo, np.nextafter(hi, np.inf)]):
             with pytest.raises(OutOfDomain):
                 bank.total_value(np.linspace(*s, 100))
+
+
+def _reference_f(points, t, nu):
+    """f's nu-th derivative at times t inside its domain, one point at a time.
+
+    The piece is an np.searchsorted over the interior knots, and the value is
+    Horner's rule in Python floats over that piece's four coefficients from
+    the fit's own solve: an evaluator that shares no code with the bank's.
+    """
+    times, risks = np.array(points, dtype=float).T
+    coef = _not_a_knot(times, risks)
+    out = []
+    for x in np.ravel(t).tolist():
+        j = int(np.searchsorted(times[1:-1], x, side="right"))
+        c0, c1, c2, c3 = coef[:, j].tolist()
+        z = x - float(times[j])
+        if nu == 0:
+            out.append(((c0 * z + c1) * z + c2) * z + c3)
+        elif nu == 1:
+            out.append((3.0 * c0 * z + 2.0 * c1) * z + c2)
+        else:
+            out.append(6.0 * c0 * z + 2.0 * c1)
+    return np.reshape(out, np.shape(t))
+
+
+def _reference_g(points, d, s):
+    """g, g' and g'' at speeds s of one agent, from _reference_f and the chain rule."""
+    times = np.array(points, dtype=float)[:, 0]
+    t = np.clip(d / s, times[0], times[-1])
+    f0, f1, f2 = (_reference_f(points, t, nu) for nu in range(3))
+    q = d / (s * s)
+    return f0, -q * f1, q * q * f2 + (2.0 * d / (s * s * s)) * f1
+
+
+def _bank_of_300_and_4_knots():
+    """A 300-knot agent beside 4- and 7-point agents: rows padded 296 deep."""
+    rng = np.random.default_rng(300)
+    points = [convex_points(rng, m) for m in (300, 4, 4, 7)]
+    return points, RiskBank(points, [5.0, 5.5, 6.0, 5.2])
+
+
+def _with_points(make_bank):
+    bank = make_bank()
+    return [np.array(g.base.control_points) for g in bank], bank
+
+
+class TestReferenceEvaluator:
+    """Every evaluation path against `_reference_f`, bit for bit."""
+
+    BANKS = [
+        pytest.param(lambda: _with_points(lambda: _group(ragged=False)), id="shipped"),
+        pytest.param(lambda: _with_points(lambda: _group(ragged=True)), id="ragged"),
+        pytest.param(lambda: _with_points(_six_and_ten_point_bank), id="six-and-ten"),
+        pytest.param(_bank_of_300_and_4_knots, id="300-and-4"),
+    ]
+
+    @pytest.mark.parametrize("make", BANKS)
+    def test_bank_methods(self, make):
+        points, bank = make()
+        n, d = len(bank), bank.distance
+        lo, hi = bank.domain
+        rng = np.random.default_rng(21)
+        # rows of one speed per agent, each agent's domain ends among them
+        own = np.vstack([bank.lo, bank.hi, rng.uniform(bank.lo, bank.hi, (30, n))])
+        common = np.linspace(lo, hi, 9)
+        # the consensus stack: clamped speeds, and one common speed repeated
+        stack = np.stack([np.clip(own[2], lo, hi), np.full(n, common[4])])
+        for speeds in (own[2], own, stack):
+            want = [_reference_g(p, d[i], speeds[..., i]) for i, p in enumerate(points)]
+            for nu, method in enumerate(("value", "derivative", "second_derivative")):
+                expected = np.stack([w[nu] for w in want], axis=-1)
+                assert getattr(bank, method)(speeds).tobytes() == expected.tobytes()
+        expected = np.stack([w[1] for w in want], axis=-1)
+        assert bank._derivative_in_domain(stack).tobytes() == expected.tobytes()
+        for y in common.tolist():
+            want = [_reference_g(p, d[i], np.array(y)) for i, p in enumerate(points)]
+            for nu, method in enumerate(("value", "derivative", "second_derivative")):
+                expected = np.array([w[nu] for w in want])
+                assert getattr(bank, method)(y).tobytes() == expected.tobytes()
+            times = [np.clip(d[i] / y, p[0, 0], p[-1, 0]) for i, p in enumerate(points)]
+            f1 = np.array([_reference_f(p, t, 1) for p, t in zip(points, times)])
+            assert bank.phi(y) == float(np.sum(d * f1))
+
+    @pytest.mark.parametrize("make", BANKS)
+    def test_total_value(self, make):
+        points, bank = make()
+        grid = np.linspace(*bank.domain, GRID_BLOCK + 7)
+        want = np.zeros(len(grid))
+        for p, d in zip(points, bank.distance):
+            want += _reference_g(p, d, grid)[0]
+        assert bank.total_value(grid).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make", BANKS)
+    def test_per_agent_curves(self, make):
+        points, bank = make()
+        rng = np.random.default_rng(22)
+        for p, g in zip(points, bank):
+            knots = p[:, 0]
+            # every knot and the floats either side, inside the domain
+            near = [knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf)]
+            t = np.clip(np.concatenate(near), knots[0], knots[-1])
+            block = rng.uniform(g.lo, g.hi, size=(3, 40))
+            for nu, method in enumerate(("value", "derivative", "second_derivative")):
+                f = getattr(g.base, method)
+                assert f(t).tobytes() == _reference_f(p, t, nu).tobytes()
+                assert [f(x) for x in t[:12].tolist()] == _reference_f(p, t[:12], nu).tolist()
+                want = _reference_g(p, g.distance, block)[nu]
+                assert getattr(g, method)(block).tobytes() == want.tobytes()
+                assert getattr(g, method)(float(block[0, 0])) == want[0, 0]
 
 
 class TestBuildRisks:
