@@ -17,18 +17,20 @@ from .errors import DegenerateInput, DimensionMismatch, EmptyDomainIntersection
 from .errors import InteriorMinimumMissing, NonConvexFit, OutOfDomain
 
 INTERIOR_PAD = 1e-7  # hours; a minimum this close to a domain end counts as on it
-QC_SEPARATION = 1e-6  # share of the domain below which rounding can tie a triple
+QC_SEPARATION = 1e-6  # share of the domain below which rounding can tie two points
 # Grid points per evaluation pass. Temporaries of 10^5 floats make the C
 # allocator return and re-fault memory on every call, about 3x the work.
 GRID_BLOCK = 8192
-_DOMAIN_SLACK = 1e-12
+_DOMAIN_SLACK = 1e-12  # times (1 + |end|): d/(d/t) can round past t by an ulp of t
 
 
 def _clip(x, lo, hi, name):
     """x clipped into [lo, hi]; OutOfDomain beyond the rounding slack."""
     x = np.asarray(x, dtype=float)[()]  # one float is a numpy scalar from here on
-    if np.count_nonzero((x < lo - _DOMAIN_SLACK) | (x > hi + _DOMAIN_SLACK)):
-        raise OutOfDomain(f"{name}={x} outside [{lo}, {hi}]")
+    if np.count_nonzero((x < lo) | (x > hi)):  # past an end: by rounding only?
+        below = x < lo - _DOMAIN_SLACK * (1.0 + abs(lo))
+        if np.count_nonzero(below | (x > hi + _DOMAIN_SLACK * (1.0 + abs(hi)))):
+            raise OutOfDomain(f"{name}={x} outside [{lo}, {hi}]")
     return np.minimum(np.maximum(x, lo), hi)  # np.clip, without its wrapper
 
 
@@ -370,51 +372,35 @@ def _find_breakeven(x, c, tipping):
 @dataclass(frozen=True)
 class QuasiConvexityReport:
     passed: bool
-    n_triples: int
-    counterexample: tuple | None  # (u, x, v, g(u), g(x), g(v))
+    n_points: int
+    counterexample: tuple | None  # (u, x, v, g(u), g(x), g(v)), plain floats
 
 
 def check_quasi_convexity(g, samples, seed=0):
     """Sampled check of strict quasi-convexity on g's speed domain.
 
-    Draws `samples` ordered triples u < x < v and checks
-    g(x) < max(g(u), g(v)) for each, or g(x) <= max within rounding where the
-    points nearly coincide. Failures are reported, not raised. The triples are
-    drawn and checked GRID_BLOCK // 3 at a time, with one g.value call per
-    block; drawn block by block, the generator gives the same triples.
+    Draws `samples` speeds, sorts them with repeats dropped and evaluates g
+    on them GRID_BLOCK at a time. On a line, strict quasi-convexity means
+    "falls, then rises": g(x) < max(g(u), g(v)) holds for every triple
+    u < x < v of the sample unless a step that does not fall comes before a
+    step that does not rise. A step between points within QC_SEPARATION of
+    the domain, by at most 8 ulps, is a rounding tie and counts as neither.
+    A failure is reported, not raised, as the triple from the first such
+    step's left end, over the highest point between, to the second's right.
     """
     if samples < 3:
         raise DegenerateInput(f"samples must be >= 3, got {samples}")
     lo, hi = g.speed_domain
-    rng = np.random.default_rng(seed)
-    n_triples, counterexample = 0, None
-    block = GRID_BLOCK // 3
-    for start in range(0, samples, block):
-        u, x, v = rng.uniform(lo, hi, size=(min(block, samples - start), 3)).T
-        # sort each triple by three compare-exchanges
-        u, x = np.minimum(u, x), np.maximum(u, x)
-        x, v = np.minimum(x, v), np.maximum(x, v)
-        u, x = np.minimum(u, x), np.maximum(u, x)
-        triples = np.stack([u, x, v])
-        # degenerate (tied) triples carry no information
-        distinct = (u < x) & (x < v)
-        if not distinct.all():
-            triples = triples[:, distinct]
-        n_triples += triples.shape[1]
-        if counterexample is not None:
-            continue
-        gu, gx, gv = g.value(triples)
-        top = np.maximum(gu, gv)
-        # the rare g(x) >= top fail, unless the points nearly coincide and
-        # g(x) exceeds top by no more than rounding
-        bad = np.flatnonzero(gx >= top)
-        if bad.size:
-            u, x, v = triples[:, bad]
-            close = np.minimum(x - u, v - x) <= QC_SEPARATION * (hi - lo)
-            tol = 8 * np.spacing(np.abs(top[bad]))
-            bad = bad[~close | (gx[bad] > top[bad] + tol)]
-        if bad.size:
-            k = bad[0]
-            u, x, v = triples[:, k]
-            counterexample = (u, x, v, float(gu[k]), float(gx[k]), float(gv[k]))
-    return QuasiConvexityReport(counterexample is None, n_triples, counterexample)
+    s = np.unique(np.random.default_rng(seed).uniform(lo, hi, samples))
+    gs = np.concatenate([g.value(s[k:k + GRID_BLOCK]) for k in range(0, len(s), GRID_BLOCK)])
+    step = np.diff(gs)
+    tie = (np.diff(s) <= QC_SEPARATION * (hi - lo)) & (
+        np.abs(step) <= 8 * np.spacing(np.abs(np.maximum(gs[:-1], gs[1:]))))
+    rise, fall = (step >= 0) & ~tie, (step <= 0) & ~tie  # do not fall, do not rise
+    late = np.flatnonzero(fall[1:] & np.logical_or.accumulate(rise)[:-1])
+    if not late.size:
+        return QuasiConvexityReport(True, len(s), None)
+    p, q = int(np.argmax(rise)), int(late[0]) + 2  # s[p] < ... < s[q]
+    x = p + 1 + int(np.argmax(gs[p + 1:q]))
+    counterexample = tuple(map(float, (s[p], s[x], s[q], gs[p], gs[x], gs[q])))
+    return QuasiConvexityReport(False, len(s), counterexample)

@@ -172,6 +172,9 @@ def _generate(spec):
 
     dist = _materialize(rng, distances, n, "distances")
     init = _materialize(rng, speeds, n, "initial_speeds")
+    # read as run_experiment reads them, which sets a null or missing mu itself
+    netsim.make_topology(topology, n, seed=seed)
+    _solver_config(solver if solver.get("mu") is not None else solver | {"mu": 1.0})
 
     return Scenario(
         label=str(spec.get("label", "")),
@@ -291,10 +294,7 @@ def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
             solver["mu"] = consensus.auto_mu(bank, certificate.s_star)
         except ValueError as exc:  # the group's curvature sum at s* is not positive
             raise DegenerateInput(f"step gain: {exc}") from exc
-    try:
-        config = consensus.SolverConfig(**solver)
-    except (TypeError, ValueError) as exc:  # an unknown key, or a bad value
-        raise InvalidSpec(f"solver: {exc}") from exc
+    config = _solver_config(solver)
     trace = consensus.run(scenario.initial_speeds, topology, bank, config)
 
     window = min(10, max(1, trace.iterations))
@@ -311,6 +311,14 @@ def run_experiment(scenario, out_dir=None, dump_matrices=False, max_iters=None):
     if out_dir is not None:
         _emit_artifacts(report, bank, topology, out_dir, dump_matrices)
     return report
+
+
+def _solver_config(solver):
+    """consensus.SolverConfig(**solver); InvalidSpec for an unknown key or a bad value."""
+    try:
+        return consensus.SolverConfig(**solver)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"solver: {exc}") from exc
 
 
 def _emit_artifacts(report, bank, topology, out_dir, dump_matrices):

@@ -124,7 +124,7 @@ def test_criterion_5_quasi_convexity_suite():
         assert offset < 2 * step, f"curve {i}: minimizer offset {offset} vs step {step}"
         worst_offset = max(worst_offset, offset / step)
     _report(5, "quasi-convexity suite", True,
-            f"20 curves x 10^4 triples; worst minimizer offset {worst_offset:.2f} steps")
+            f"20 curves x 10^4 samples; worst minimizer offset {worst_offset:.2f} steps")
 
 
 def test_criterion_6_matrix_suite():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.interpolate import CubicSpline
 
+from groupspeed import oracle
 from groupspeed import scenario as scen
 from groupspeed.errors import (
     DegenerateInput,
@@ -310,9 +311,6 @@ class TestSpeedRisk:
             g.value(g.speed_domain[1] + 1.0)
 
 
-_BLOCK = GRID_BLOCK // 3  # triples per block of check_quasi_convexity
-
-
 class BadComposition:
     """f(y) = y^2 composed with the non-monotone h(x) = x^2 - x."""
 
@@ -342,24 +340,82 @@ class Steps:
         return np.abs(np.floor(np.asarray(x, dtype=float) * 2.0**20) - 2.0**19)
 
 
-def _whole_array_check(g, samples, seed):
-    """check_quasi_convexity on one draw of every triple, each row sorted."""
+class FlatBottom:
+    """max(|x - 1/2| - 1/10, 0) on [0, 1]: quasi-convex, but not strictly."""
+
+    speed_domain = (0.0, 1.0)
+
+    def value(self, x):
+        return np.maximum(np.abs(np.asarray(x, dtype=float) - 0.5) - 0.1, 0.0)
+
+
+class Bump:
+    """A parabola on [10, 40] km/h with its minimum at 20 and a Gaussian bump
+    of width w at b: not quasi-convex once the bump's fall outruns the rise."""
+
+    speed_domain = (10.0, 40.0)
+
+    def __init__(self, b, w):
+        self.b, self.w = b, w
+
+    def value(self, s):
+        s = np.asarray(s, dtype=float)
+        return 1e-3 * (s - 20.0) ** 2 + 5e-3 * np.exp(-(((s - self.b) / self.w) ** 2))
+
+
+def _sample(g, samples, seed):
+    """check_quasi_convexity's points: its draws, sorted, repeats dropped."""
     lo, hi = g.speed_domain
-    triples = np.random.default_rng(seed).uniform(lo, hi, size=(samples, 3))
-    triples.sort(axis=1)
-    distinct = (triples[:, 0] < triples[:, 1]) & (triples[:, 1] < triples[:, 2])
-    triples = triples[distinct]
-    gu, gx, gv = (g.value(triples[:, k]) for k in range(3))
-    top = np.maximum(gu, gv)
-    gap = np.minimum(triples[:, 1] - triples[:, 0], triples[:, 2] - triples[:, 1])
-    close = gap <= QC_SEPARATION * (hi - lo)
-    bad = np.where(close, gx > top + 8 * np.spacing(np.abs(top)), gx >= top)
-    if not bad.any():
-        return QuasiConvexityReport(True, len(triples), None)
-    i = int(np.argmax(bad))
-    u, x, v = triples[i]
-    counterexample = (u, x, v, float(gu[i]), float(gx[i]), float(gv[i]))
-    return QuasiConvexityReport(False, len(triples), counterexample)
+    return np.unique(np.random.default_rng(seed).uniform(lo, hi, samples))
+
+
+def _all_triples_pass(g, samples, seed):
+    """Whether g(x) < max(g(u), g(v)) for every triple u < x < v of the sample."""
+    gs = g.value(_sample(g, samples, seed))
+    return not any(
+        np.any(gs[j] >= np.maximum.outer(gs[:j], gs[j + 1:])) for j in range(len(gs))
+    )
+
+
+def _whole_array_scan(g, samples, seed):
+    """check_quasi_convexity's report, from one value call on the whole sample."""
+    s = _sample(g, samples, seed)
+    gs = g.value(s)
+    lo, hi = g.speed_domain
+    d = np.diff(gs)
+    tie = (np.diff(s) <= QC_SEPARATION * (hi - lo)) & (
+        np.abs(d) <= 8 * np.spacing(np.abs(np.maximum(gs[:-1], gs[1:]))))
+    rises = np.flatnonzero((d >= 0) & ~tie)
+    falls = np.flatnonzero((d <= 0) & ~tie)
+    falls = falls[falls > rises[0]] if rises.size else falls[:0]
+    if not falls.size:
+        return QuasiConvexityReport(True, len(s), None)
+    p, q = rises[0], falls[0] + 1
+    x = p + 1 + np.argmax(gs[p + 1:q])
+    counterexample = (s[p], s[x], s[q], gs[p], gs[x], gs[q])
+    return QuasiConvexityReport(False, len(s), tuple(map(float, counterexample)))
+
+
+def _doubles():
+    """Shipped, ragged, BadComposition, TinyDomain, FlatBottom and bump doubles."""
+    bank = _group(ragged=True)
+    return [
+        SpeedRisk(fit_risk_curve(LOW_POLLUTION_POINTS), 8.0),
+        SpeedRisk(fit_risk_curve(HIGH_POLLUTION_POINTS), 12.0),
+        bank[0],
+        bank[1],
+        bank[2],
+        BadComposition(),
+        TinyDomain(),
+        FlatBottom(),
+        Bump(30.0, 1e-2),
+        Bump(25.0, 0.3),
+    ]
+
+
+def _is_counterexample(c):
+    u, x, v, gu, gx, gv = c
+    return all(type(a) is float for a in c) and u < x < v and gx >= max(gu, gv)
 
 
 class TestQuasiConvexity:
@@ -368,13 +424,14 @@ class TestQuasiConvexity:
         report = check_quasi_convexity(g, samples=10_000, seed=3)
         assert report.passed
         assert report.counterexample is None
+        assert report.n_points == 10_000
 
     def test_non_monotone_composition_fails(self):
         report = check_quasi_convexity(BadComposition(), samples=10_000, seed=5)
         assert not report.passed
+        assert _is_counterexample(report.counterexample)
         u, x, v, gu, gx, gv = report.counterexample
-        assert u < x < v
-        assert gx >= max(gu, gv)
+        assert (gu, gx, gv) == tuple(BadComposition().value([u, x, v]).tolist())
 
     def test_too_few_samples(self, parabola_curve):
         g = SpeedRisk(parabola_curve, 2.0)
@@ -383,37 +440,48 @@ class TestQuasiConvexity:
 
     def test_ties_of_nearly_coincident_points_are_excused(self):
         g, samples, seed = Steps(), 100_000, 4
-        triples = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples, 3))
-        gu, gx, gv = (g.value(c) for c in np.sort(triples, axis=1).T)
-        assert np.sum(gx >= np.maximum(gu, gv)) == 1  # one triple ties
+        s = _sample(g, samples, seed)
+        tied = np.diff(g.value(s)) == 0
+        assert tied.sum() > 1000  # neighbours in one step tie, within QC_SEPARATION
+        assert np.all(np.diff(s)[tied] <= QC_SEPARATION)
         report = check_quasi_convexity(g, samples, seed=seed)
         assert report.passed
-        assert report == _whole_array_check(g, samples, seed)
+        assert report == _whole_array_scan(g, samples, seed)
+
+    def test_pass_fail_is_that_of_all_triples(self):
+        verdicts = []
+        for g in _doubles():
+            for seed in range(4):
+                for samples in (3, 20, 150):
+                    report = check_quasi_convexity(g, samples, seed=seed)
+                    assert report.passed == _all_triples_pass(g, samples, seed)
+                    if not report.passed:
+                        assert _is_counterexample(report.counterexample)
+                    verdicts.append(report.passed)
+        assert 0 < verdicts.count(False) < len(verdicts)  # both verdicts occur
 
     @pytest.mark.parametrize(
         "samples",
-        [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1, 10_000],
+        [GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 3 * GRID_BLOCK + 1, 10_000],
     )
     def test_blocks_report_as_one_whole_array(self, samples):
-        bank = _group(ragged=True)
-        doubles = [
-            SpeedRisk(fit_risk_curve(LOW_POLLUTION_POINTS), 8.0),
-            SpeedRisk(fit_risk_curve(HIGH_POLLUTION_POINTS), 12.0),
-            bank[0],
-            bank[1],
-            bank[2],
-            BadComposition(),
-            TinyDomain(),
-        ]
-        for seed in range(5):
-            for g in doubles:
+        for seed in range(3):
+            for g in _doubles():
                 report = check_quasi_convexity(g, samples, seed=seed)
-                assert report == _whole_array_check(g, samples, seed)
-        if samples > 3:
-            assert not check_quasi_convexity(BadComposition(), samples).passed
-        # most draws on a domain five floats wide tie, and are dropped
+                assert report == _whole_array_scan(g, samples, seed)
+                assert report.passed or _is_counterexample(report.counterexample)
+        assert not check_quasi_convexity(BadComposition(), samples).passed
+        # most draws on a domain five floats wide repeat, and are dropped
         report = check_quasi_convexity(TinyDomain(), samples)
-        assert report.passed and report.n_triples < samples
+        assert report.passed and report.n_points < samples
+
+    @pytest.mark.parametrize("w", [1e-2, 3e-3])
+    def test_narrow_bump_on_the_rising_side_fails(self, w):
+        for seed in range(5):
+            report = check_quasi_convexity(Bump(30.0, w), samples=10_000, seed=seed)
+            assert not report.passed
+            assert _is_counterexample(report.counterexample)
+            assert 29.9 < report.counterexample[1] < 30.1  # the bump's top
 
 
 def _group_spec(ragged):
@@ -450,6 +518,21 @@ def _raises(f, x):
 
 
 class TestRiskBank:
+    @pytest.mark.parametrize(
+        "scale", [2.0**k for k in range(0, 16, 3)] + [10.0**k for k in range(1, 5)]
+    )
+    @pytest.mark.parametrize("points", [LOW_POLLUTION_POINTS, HIGH_POLLUTION_POINTS])
+    def test_long_times_evaluate_at_the_domain_ends(self, scale, points):
+        # d/(d/t) rounds past t by up to an ulp of t, 7.3e-12 at t = 32 000 h
+        pts = [[t * scale, r] for t, r in points]
+        for d in (1.0, 7.0, 20.0, 150.0, 1000.0):
+            bank = RiskBank([pts, pts], [d, 1.1 * d])
+            for s in bank.domain:
+                bank.value(s), bank.derivative(s), bank.phi(s)
+            for s in (bank.lo, bank.hi):
+                bank.value(s), bank.derivative(s)
+            assert bank.domain[0] <= oracle.solve_common_speed(bank).s_star <= bank.domain[1]
+
     def test_nonpositive_distance(self):
         with pytest.raises(DegenerateInput, match="positive, got 0.0"):
             RiskBank([parabola_points()] * 2, [2.0, 0.0])

@@ -196,6 +196,33 @@ class TestGenerateScenario:
         with pytest.raises(InvalidSpec, match=message):
             scen.generate_scenario(edit(low_spec()))
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("topology", {"model": "complete", "radius": 1}),
+            ("topology", {"model": "nope"}),
+            ("topology", {"model": "random_failure", "link_up_probability": 2}),
+            ("solver", {"mu": None, "tolerance": 1e-3}),
+            ("solver", {"mu": -1}),
+        ],
+    )
+    def test_rejects_what_run_rejects_with_its_message(self, section, value):
+        with pytest.raises(InvalidSpec) as at_generation:
+            scen.generate_scenario(low_spec(**{section: value}))
+        # the same section, in a scenario that was not generated from it
+        s = dataclasses.replace(scen.generate_scenario(low_spec()), **{section: value})
+        with pytest.raises(InvalidSpec) as at_run:
+            scen.run_experiment(s)
+        assert str(at_generation.value) == str(at_run.value)
+        assert section in str(at_run.value)
+
+    @pytest.mark.parametrize("solver", [{"mu": None}, {}])
+    def test_null_or_missing_mu_is_automatic(self, solver):
+        s = scen.generate_scenario(low_spec(solver=solver))
+        bank = s.build_risks()
+        mu = scen.consensus.auto_mu(bank, scen.oracle.solve_common_speed(bank).s_star)
+        assert scen.run_experiment(s, max_iters=1).mu == mu
+
     def test_shares_no_dict_or_list_with_callers(self):
         spec = low_spec()
         spec["topology"] = {"model": "fixed", "edges": [[0, 1], [1, 2]]}
